@@ -268,18 +268,20 @@ let () =
       Printf.printf
         "  warning: candidate fleet block has no failed-model count \
          (pre-rescue format?)\n");
+    (* Blocks written before the worker count was recorded always ran 4. *)
+    let jobs = Option.value ~default:4. (num "jobs") in
     match (num "speedup", num "cores") with
     | Some speedup, Some cores when cores >= 4. ->
       let gated = speedup < 2.0 in
       if gated then incr failures;
-      Printf.printf "  fleet: --jobs 4 speedup %.2fx on %.0f cores%s\n" speedup
-        cores
+      Printf.printf "  fleet: --jobs %.0f speedup %.2fx on %.0f cores%s\n" jobs
+        speedup cores
         (if gated then "  REGRESSION (must be >= 2.0x)" else "")
     | Some speedup, Some cores ->
       Printf.printf
-        "  fleet: --jobs 4 speedup %.2fx on %.0f core(s) (< 4 cores, speedup \
-         not gated)\n"
-        speedup cores
+        "  fleet: --jobs %.0f speedup %.2fx on %.0f core(s) (< 4 cores, \
+         speedup not gated)\n"
+        jobs speedup cores
     | _ -> Printf.printf "  fleet: block present but unreadable\n")
   | None ->
     Printf.printf

@@ -90,12 +90,15 @@ let eps_cost = 1e-8
    refactorizing every fixed number of pivots, the eta file is kept until
    its growth or its numerical health says otherwise (see [run_phase]).
    The growth limit balances two measured costs on the large Figure-4
-   instances (m ≈ 8000, ~0.2s per Markowitz refactorization): looser
-   limits trade fewer rebuilds for longer eta chains, which both slow
-   every FTRAN/BTRAN and degrade pricing enough to multiply the pivot
-   count (12× roughly doubled bound-report time, 64× walked phase 1
-   into stuck near-feasible vertices). 4× sits at the measured
-   optimum. *)
+   instances (m ≈ 8000): looser limits trade fewer rebuilds for longer
+   eta chains, which both slow every FTRAN/BTRAN and degrade pricing
+   enough to multiply the pivot count (12× roughly doubled bound-report
+   time, 64× walked phase 1 into stuck near-feasible vertices). 4× sat
+   at the measured optimum when a Markowitz refactorization cost
+   0.2-0.5 s there; the array-workspace LU costs ~20 ms per call on the
+   same instance, which may move the optimum.  Retuning it changes every
+   trajectory (pivot counts, certificates, rescue causes), so it is a
+   separate, separately measured change. *)
 let default_growth_limit = 4.0
 let default_drift_tol = 1e-6
 let default_check_interval = 128
@@ -105,15 +108,10 @@ let default_pivot_backstop = 5_000
 (* Basis representation: product-form inverse (eta file)               *)
 (* ------------------------------------------------------------------ *)
 
-(* One eta matrix E: identity except column [row], which holds the pivoted
-   entering column w ([pivot] = w_row on the diagonal, [idx]/[vals] the
-   off-diagonal nonzeros). The basis inverse is the product
-   B⁻¹ = Eₖ⁻¹ ⋯ E₁⁻¹ — FTRAN applies the inverses oldest-first, BTRAN the
-   transposed inverses newest-first. Refactorization rebuilds the file
-   from identity by re-pivoting the basic columns, so the same mechanism
-   serves both pivot updates and reinversion. *)
-type eta = { row : int; pivot : float; idx : int array; vals : float array }
-
+(* The basis inverse is an {!Eta_file}: pivots append one eta each, and
+   refactorization rebuilds the file from identity by re-pivoting the
+   basic columns ({!Markowitz}), so the same mechanism serves both pivot
+   updates and reinversion. *)
 type t = {
   std : Std_form.t;
   m : int;
@@ -126,9 +124,7 @@ type t = {
   basis : int array;  (* basic column of each row *)
   in_basis : bool array;
   allowed : bool array;  (* artificials are barred after phase 1 *)
-  mutable etas : eta array;
-  mutable n_etas : int;
-  mutable eta_nnz : int;
+  etas : Eta_file.t;
   mutable base_eta_nnz : int;  (* eta nnz right after the last refactor *)
   mutable pivots_since_refactor : int;
   mutable worst_infeas : float;
@@ -169,45 +165,6 @@ type t = {
   mutable n_refactor_backstop : int;
 }
 
-let dummy_eta = { row = -1; pivot = 1.; idx = [||]; vals = [||] }
-
-let push_eta t e =
-  if t.n_etas = Array.length t.etas then begin
-    let bigger = Array.make (max 64 (2 * t.n_etas)) dummy_eta in
-    Array.blit t.etas 0 bigger 0 t.n_etas;
-    t.etas <- bigger
-  end;
-  t.etas.(t.n_etas) <- e;
-  t.n_etas <- t.n_etas + 1;
-  t.eta_nnz <- t.eta_nnz + Array.length e.idx + 1
-
-(* x <- B⁻¹ x *)
-let ftran_apply t x =
-  for k = 0 to t.n_etas - 1 do
-    let e = t.etas.(k) in
-    let xr = x.(e.row) in
-    if xr <> 0. then begin
-      let xr = xr /. e.pivot in
-      x.(e.row) <- xr;
-      let idx = e.idx and vals = e.vals in
-      for p = 0 to Array.length idx - 1 do
-        x.(idx.(p)) <- x.(idx.(p)) -. (vals.(p) *. xr)
-      done
-    end
-  done
-
-(* y <- B⁻ᵀ y *)
-let btran_apply t y =
-  for k = t.n_etas - 1 downto 0 do
-    let e = t.etas.(k) in
-    let acc = ref y.(e.row) in
-    let idx = e.idx and vals = e.vals in
-    for p = 0 to Array.length idx - 1 do
-      acc := !acc -. (vals.(p) *. y.(idx.(p)))
-    done;
-    y.(e.row) <- !acc /. e.pivot
-  done
-
 (* w <- B⁻¹ A_j (dense scratch; artificials are identity columns) *)
 let ftran_col t j w =
   Array.fill w 0 t.m 0.;
@@ -216,301 +173,56 @@ let ftran_col t j w =
     let i = t.art_row.(j - t.n_struct) in
     w.(i) <- t.art_sign.(i)
   end;
-  ftran_apply t w
+  Eta_file.ftran t.etas w
 
-(* The eta of pivoting column w on row r; [None] when E would be the
-   identity (a column that is already e_r needs no eta). *)
-let eta_of_pivot w r m =
-  let cnt = ref 0 in
-  for i = 0 to m - 1 do
-    if i <> r && w.(i) <> 0. then incr cnt
-  done;
-  if !cnt = 0 && Float.abs (w.(r) -. 1.) < 1e-15 then None
-  else begin
-    let idx = Array.make !cnt 0 and vals = Array.make !cnt 0. in
-    let p = ref 0 in
-    for i = 0 to m - 1 do
-      if i <> r && w.(i) <> 0. then begin
-        idx.(!p) <- i;
-        vals.(!p) <- w.(i);
-        incr p
-      end
-    done;
-    Some { row = r; pivot = w.(r); idx; vals }
-  end
+(* Refactorization storage: one workspace per domain, grown to the
+   largest basis the domain has factorized.  A factorization keeps no
+   state between calls and calls on one domain never overlap (the
+   library starts no systhreads), so every solver state on a domain can
+   share it; a workspace per state raised the peak RSS of fleets, which
+   create hundreds of short-lived states. *)
+let lu_workspace = Domain.DLS.new_key (fun () -> ref (Markowitz.workspace 0))
 
-(* Rebuild the eta file from identity by re-pivoting the basic columns —
-   a sparse right-looking Gaussian elimination in product form.  The
-   pivot order follows a Markowitz-style heuristic (sparsest column
-   first, then the candidate row of least incidence, subject to a
-   relative stability threshold), which keeps the fill-in of the
-   refactored eta file near nnz(B) on the banded marginal-balance
-   matrices instead of the O(m²) a naive order produces.  Each pivot
-   emits the eta of the partially eliminated column and eagerly applies
-   it to the remaining columns that intersect the pivot row — the
-   product form this builds is identical to FTRAN-ing every column
-   through the preceding etas, just computed sparsely.  Rows may end up
-   assigned to different basic columns; the represented basis (as a set)
-   is unchanged.  Also recomputes the basic values from the perturbed
-   right-hand side, washing out the roundoff accumulated by incremental
-   updates. *)
+let workspace m =
+  let ws = Domain.DLS.get lu_workspace in
+  if Markowitz.rows !ws < m then ws := Markowitz.workspace m;
+  !ws
+
+(* Rebuild the eta file from identity by a sparse Markowitz LU of the
+   basic columns ({!Markowitz.factorize}).  Rows may end up assigned to
+   different basic columns; the represented basis (as a set) is
+   unchanged, except that numerically dependent columns are replaced by
+   artificial unit columns.  Also recomputes the basic values from the
+   perturbed right-hand side, washing out the roundoff accumulated by
+   incremental updates. *)
 let refactor t =
   Metrics.inc m_refactor;
   t.n_refactors <- t.n_refactors + 1;
   t.refactor_forced <- false;
-  t.n_etas <- 0;
-  t.eta_nnz <- 0;
   t.pivots_since_refactor <- 0;
-  let m = t.m in
-  let assigned = Array.make m false in
-  let new_basis = Array.make m (-1) in
-  (* Working copy of the basis columns, by basis position.  [colv.(k)]
-     maps row -> current value of the partially eliminated column;
-     [rowocc.(i)] over-approximates the set of remaining columns with a
-     nonzero at row [i] (entries go stale when a value cancels). *)
-  let colv = Array.init m (fun _ -> Hashtbl.create 8) in
-  let rowocc = Array.init m (fun _ -> Hashtbl.create 8) in
-  let col_cnt = Array.make m 0 in
-  let row_cnt = Array.make m 0 in
-  (* Health gauges: largest |basis entry| (the growth denominator),
-     largest |entry| produced during elimination, and the range of
-     accepted pivot magnitudes. *)
-  let h_bmax = ref 0. and h_fmax = ref 0. in
-  let h_pmin = ref infinity and h_pmax = ref 0. in
-  let grow v =
-    let a = Float.abs v in
-    if a > !h_fmax then h_fmax := a
+  let lu =
+    Markowitz.factorize (workspace t.m) t.etas
+      {
+        Markowitz.cols = t.cols;
+        n_struct = t.n_struct;
+        art_row = t.art_row;
+        art_sign = t.art_sign;
+        basis = t.basis;
+      }
   in
-  let pivot_mag p =
-    let a = Float.abs p in
-    if a < !h_pmin then h_pmin := a;
-    if a > !h_pmax then h_pmax := a;
-    if a > !h_fmax then h_fmax := a
-  in
-  Array.iteri
-    (fun k c ->
-      if c < t.n_struct then
-        Csr.iter_row t.cols c (fun i v ->
-            if v <> 0. then begin
-              if Float.abs v > !h_bmax then h_bmax := Float.abs v;
-              Hashtbl.replace colv.(k) i v;
-              Hashtbl.replace rowocc.(i) k ();
-              col_cnt.(k) <- col_cnt.(k) + 1;
-              row_cnt.(i) <- row_cnt.(i) + 1
-            end)
-      else begin
-        if 1. > !h_bmax then h_bmax := 1.;
-        let i = t.art_row.(c - t.n_struct) in
-        Hashtbl.replace colv.(k) i t.art_sign.(i);
-        Hashtbl.replace rowocc.(i) k ();
-        col_cnt.(k) <- col_cnt.(k) + 1;
-        row_cnt.(i) <- row_cnt.(i) + 1
-      end)
-    t.basis;
-  let remaining = Array.make m true in
-  let deferred = ref [] in
-  let u_etas = ref [] in
-  let n_left = ref m in
-  (* Take column [k] out of the active submatrix counts. *)
-  let retire k =
-    remaining.(k) <- false;
-    decr n_left;
-    Hashtbl.iter (fun i _ -> row_cnt.(i) <- row_cnt.(i) - 1) colv.(k)
-  in
-  while !n_left > 0 do
-    (* Markowitz pivot choice: among a short list of the sparsest
-       remaining columns, the entry minimizing
-       (row_cnt − 1)·(col_cnt − 1) over candidates no smaller than a
-       tenth of their column max — the classic fill-in estimate, with a
-       relative stability threshold. *)
-    let cmin = ref max_int in
-    for k = 0 to m - 1 do
-      if remaining.(k) && col_cnt.(k) < !cmin then cmin := col_cnt.(k)
-    done;
-    if !cmin = max_int then n_left := 0
-    else begin
-      let cands = ref [] and n_cands = ref 0 in
-      (let k = ref 0 in
-       while !n_cands < 8 && !k < m do
-         if remaining.(!k) && col_cnt.(!k) <= !cmin + 1 then begin
-           cands := !k :: !cands;
-           incr n_cands
-         end;
-         incr k
-       done);
-      let k_best = ref (-1)
-      and r_best = ref (-1)
-      and p_best = ref 0.
-      and score_best = ref max_int in
-      List.iter
-        (fun k ->
-          let colmax = ref 0. in
-          Hashtbl.iter
-            (fun i v ->
-              if (not assigned.(i)) && Float.abs v > !colmax then
-                colmax := Float.abs v)
-            colv.(k);
-          if !colmax <= 1e-11 then begin
-            retire k;
-            deferred := k :: !deferred
-          end
-          else
-            Hashtbl.iter
-              (fun i v ->
-                if (not assigned.(i)) && Float.abs v >= 0.1 *. !colmax then begin
-                  let score = (row_cnt.(i) - 1) * (col_cnt.(k) - 1) in
-                  if
-                    score < !score_best
-                    || (score = !score_best && Float.abs v > Float.abs !p_best)
-                  then begin
-                    k_best := k;
-                    r_best := i;
-                    p_best := v;
-                    score_best := score
-                  end
-                end)
-              colv.(k))
-        !cands;
-      if !k_best >= 0 then begin
-        let k = !k_best in
-        let r = !r_best in
-        let p = !p_best in
-        pivot_mag p;
-        retire k;
-        (* Split the pivot column: entries at unassigned rows are the
-           multipliers (the L eta emitted now); entries at assigned rows
-           are frozen U values (buffered, appended in reverse order after
-           the elimination so that FTRAN performs back substitution). *)
-        let lidx = ref [] and lvals = ref [] and ln = ref 0 in
-        let uidx = ref [] and uvals = ref [] and un = ref 0 in
-        Hashtbl.iter
-          (fun i v ->
-            if i <> r then begin
-              grow v;
-              if assigned.(i) then begin
-                uidx := i :: !uidx;
-                uvals := v :: !uvals;
-                incr un
-              end
-              else begin
-                lidx := i :: !lidx;
-                lvals := v :: !lvals;
-                incr ln
-              end
-            end)
-          colv.(k);
-        let lidx = Array.of_list !lidx and lvals = Array.of_list !lvals in
-        if !ln > 0 || Float.abs (p -. 1.) >= 1e-15 then
-          push_eta t { row = r; pivot = p; idx = lidx; vals = lvals };
-        if !un > 0 then
-          u_etas :=
-            {
-              row = r;
-              pivot = 1.;
-              idx = Array.of_list !uidx;
-              vals = Array.of_list !uvals;
-            }
-            :: !u_etas;
-        assigned.(r) <- true;
-        new_basis.(r) <- t.basis.(k);
-        (* Eagerly eliminate the pivot row from the remaining columns:
-           their entry at [r] becomes the frozen multiplier f = v_r / p
-           (a future U value), and only active-submatrix rows are
-           updated — this is what keeps LU fill-in small where a full
-           product-form column transform would smear into the assigned
-           rows. *)
-        let touched = Hashtbl.fold (fun k' () acc -> k' :: acc) rowocc.(r) [] in
-        List.iter
-          (fun k' ->
-            if k' <> k && remaining.(k') then begin
-              match Hashtbl.find_opt colv.(k') r with
-              | None -> ()
-              | Some vr ->
-                col_cnt.(k') <- col_cnt.(k') - 1;
-                let f = vr /. p in
-                Hashtbl.replace colv.(k') r f;
-                Array.iteri
-                  (fun q i ->
-                    let old =
-                      match Hashtbl.find_opt colv.(k') i with
-                      | Some v -> v
-                      | None -> 0.
-                    in
-                    let nv = old -. (lvals.(q) *. f) in
-                    if Float.abs nv < 1e-13 then begin
-                      if old <> 0. then begin
-                        Hashtbl.remove colv.(k') i;
-                        row_cnt.(i) <- row_cnt.(i) - 1;
-                        col_cnt.(k') <- col_cnt.(k') - 1
-                      end
-                    end
-                    else begin
-                      grow nv;
-                      Hashtbl.replace colv.(k') i nv;
-                      if old = 0. then begin
-                        Hashtbl.replace rowocc.(i) k' ();
-                        row_cnt.(i) <- row_cnt.(i) + 1;
-                        col_cnt.(k') <- col_cnt.(k') + 1
-                      end
-                    end)
-                  lidx
-            end)
-          touched;
-        (* Retire column [k] from the row occupancy. *)
-        Hashtbl.iter (fun i _ -> Hashtbl.remove rowocc.(i) k) colv.(k);
-        Hashtbl.reset colv.(k)
-      end
-    end
-  done;
-  (* Back-substitution etas: U_m, …, U_1 (reverse pivot order). *)
-  List.iter (fun e -> push_eta t e) !u_etas;
-  (* Numerically deferred columns: pivot them through the eta file built
-     so far, on the largest unassigned entry of B⁻¹a — the dense
-     fallback of last resort.  A column whose transform has no usable
-     entry left is (numerically) dependent on the rest of the basis and
-     is dropped here. *)
-  let w = t.work in
+  List.iter (fun c -> t.in_basis.(c) <- false) lu.Markowitz.dropped;
   List.iter
-    (fun k ->
-      let c = t.basis.(k) in
-      ftran_col t c w;
-      let r = ref (-1) and best = ref 1e-11 in
-      for i = 0 to m - 1 do
-        if (not assigned.(i)) && Float.abs w.(i) > !best then begin
-          r := i;
-          best := Float.abs w.(i)
-        end
-      done;
-      if !r < 0 then t.in_basis.(c) <- false
-      else begin
-        pivot_mag w.(!r);
-        (match eta_of_pivot w !r m with Some e -> push_eta t e | None -> ());
-        assigned.(!r) <- true;
-        new_basis.(!r) <- c
-      end)
-    (List.rev !deferred);
-  (* Basis repair: cover each still-unassigned row with its artificial
-     unit column ±e_r.  At an unassigned row, ±e_r is untouched by every
-     eta built above (they all pivot on assigned rows), so the repair
-     needs no eta beyond a sign flip when the artificial is −e_r — and
-     the repaired basis is nonsingular by construction. *)
-  for i = 0 to m - 1 do
-    if new_basis.(i) < 0 then begin
+    (fun i ->
       let a = t.n_struct + i in
-      new_basis.(i) <- a;
       t.in_basis.(a) <- true;
       t.allowed.(a) <- false;
-      if t.art_sign.(i) <> 1. then
-        push_eta t { row = i; pivot = t.art_sign.(i); idx = [||]; vals = [||] };
       Metrics.inc m_repairs;
       Log.debug (fun f ->
           f "refactor: dependent basis column replaced by unit column of row %d"
-            i)
-    end
-  done;
-  Array.blit new_basis 0 t.basis 0 t.m;
+            i))
+    lu.Markowitz.repaired;
   Array.blit t.rhs_pert 0 t.xb 0 t.m;
-  ftran_apply t t.xb;
+  Eta_file.ftran t.etas t.xb;
   (* The primal simplex needs xb ≥ 0; clamping restores the invariant.
      Violations beyond roundoff scale mean the basis degraded (a repair,
      or an ill-conditioned stretch of the trajectory) — the path
@@ -527,14 +239,13 @@ let refactor t =
     Log.debug (fun f ->
         f "refactor: clamped infeasible basic values (worst %g)"
           t.worst_infeas);
-  t.base_eta_nnz <- t.eta_nnz;
-  Metrics.set m_eta_nnz (float_of_int t.eta_nnz);
-  Health.observe_refactor
-    ~growth:(if !h_bmax > 0. then !h_fmax /. !h_bmax else 0.)
-    ~min_pivot:(if !h_pmin = infinity then 0. else !h_pmin)
-    ~max_pivot:!h_pmax;
+  t.base_eta_nnz <- Eta_file.nnz t.etas;
+  Metrics.set m_eta_nnz (float_of_int (Eta_file.nnz t.etas));
+  Health.observe_refactor ~growth:lu.Markowitz.growth
+    ~min_pivot:lu.Markowitz.min_pivot ~max_pivot:lu.Markowitz.max_pivot;
   if Trace.is_enabled () then
-    Trace.record (Trace.Refactor { solver = "revised"; eta_nnz = t.eta_nnz })
+    Trace.record
+      (Trace.Refactor { solver = "revised"; eta_nnz = Eta_file.nnz t.etas })
 
 (* ------------------------------------------------------------------ *)
 (* Pricing and ratio test                                              *)
@@ -640,13 +351,16 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
   (* Per-phase attribution accumulates in locals and is recorded with
      one [Span.add] per phase after the loop; the clock reads (which
      box floats) are skipped entirely when profiling is off, keeping
-     the disabled pivot path allocation-free. *)
+     the disabled pivot path allocation-free.  Refactorizations also
+     carry their minor-heap allocation (a [Gc.minor_words] delta), so
+     the profile's words column covers [factorize]. *)
   let prof = Prof.is_enabled () in
   let price_t = ref 0. in
   let ratio_t = ref 0. in
   let update_t = ref 0. in
   let factor_t = ref 0. in
   let factor_n = ref 0 in
+  let factor_w = ref 0. in
   while !result = None do
     if !iter >= max_iter then result := Some R_limit
     else begin
@@ -655,7 +369,7 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
       for i = 0 to t.m - 1 do
         y.(i) <- cost_of t.basis.(i)
       done;
-      btran_apply t y;
+      Eta_file.btran t.etas y;
       let q = price t y ~cost_of ~bland:!bland in
       let t1 = if prof then Prof.now () else 0. in
       if prof then price_t := !price_t +. (t1 -. t0);
@@ -695,7 +409,9 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
           if leaving >= t.n_struct then t.allowed.(leaving) <- false;
           t.in_basis.(q) <- true;
           t.basis.(r) <- q;
-          (match eta_of_pivot w r t.m with Some e -> push_eta t e | None -> ());
+          (match Eta_file.of_pivot w r t.m with
+          | Some e -> Eta_file.push t.etas e
+          | None -> ());
           if prof then update_t := !update_t +. (Prof.now () -. t3);
           t.pivots_since_refactor <- t.pivots_since_refactor + 1;
           incr iter;
@@ -754,7 +470,7 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
               true
             end
             else if
-              float_of_int t.eta_nnz
+              float_of_int (Eta_file.nnz t.etas)
               > t.growth_limit *. float_of_int (t.base_eta_nnz + t.m)
             then begin
               Metrics.inc m_refactor_growth;
@@ -767,7 +483,7 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
               &&
               begin
                 Array.blit t.rhs_pert 0 xchk 0 t.m;
-                ftran_apply t xchk;
+                Eta_file.ftran t.etas xchk;
                 let drift = ref 0. in
                 for i = 0 to t.m - 1 do
                   let d = Float.abs (Float.max 0. xchk.(i) -. t.xb.(i)) in
@@ -786,7 +502,9 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
           if need_refactor then
             if prof then begin
               let tf = Prof.now () in
+              let w0 = Gc.minor_words () in
               refactor t;
+              factor_w := !factor_w +. (Gc.minor_words () -. w0);
               factor_t := !factor_t +. (Prof.now () -. tf);
               incr factor_n
             end
@@ -803,7 +521,8 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
     Span.add ~count:n "price" !price_t;
     Span.add ~count:n "ratio" !ratio_t;
     Span.add ~count:n "update" !update_t;
-    if !factor_n > 0 then Span.add ~count:!factor_n "factorize" !factor_t
+    if !factor_n > 0 then
+      Span.add ~count:!factor_n ~minor_words:!factor_w "factorize" !factor_t
   end;
   Metrics.inc ~by:(float_of_int !iter) m_pivots;
   Metrics.inc ~by:(float_of_int !degenerate) m_degenerate;
@@ -915,9 +634,7 @@ let build_state ?(pert_scale = 1.) std salt =
       basis;
       in_basis;
       allowed;
-      etas = Array.make 64 dummy_eta;
-      n_etas = 0;
-      eta_nnz = 0;
+      etas = Eta_file.create ();
       base_eta_nnz = 0;
       pivots_since_refactor = 0;
       worst_infeas = 0.;
@@ -944,7 +661,8 @@ let build_state ?(pert_scale = 1.) std salt =
      −e_i artificial in the initial basis contributes a diagonal −1. *)
   for i = 0 to m - 1 do
     if basis.(i) = n_struct + i && art_sign.(i) <> 1. then
-      push_eta t { row = i; pivot = art_sign.(i); idx = [||]; vals = [||] }
+      Eta_file.push t.etas
+        { Eta_file.row = i; pivot = art_sign.(i); idx = [||]; vals = [||] }
   done;
   t
 
@@ -952,7 +670,7 @@ let build_state ?(pert_scale = 1.) std salt =
    (unperturbed) right-hand side: x = B⁻¹ b. *)
 let artificial_mass t =
   let x_true = Array.copy t.std.Std_form.rhs in
-  ftran_apply t x_true;
+  Eta_file.ftran t.etas x_true;
   let mass = ref 0. in
   for i = 0 to t.m - 1 do
     if t.basis.(i) >= t.n_struct then mass := !mass +. Float.abs x_true.(i)
@@ -985,7 +703,7 @@ let finalize_phase1 t =
     if t.basis.(i) >= t.n_struct then begin
       Array.fill rho 0 m 0.;
       rho.(i) <- 1.;
-      btran_apply t rho;
+      Eta_file.btran t.etas rho;
       let best = ref (-1) and best_mag = ref 1e-6 in
       for j = 0 to t.n_struct - 1 do
         if not t.in_basis.(j) then begin
@@ -1022,8 +740,8 @@ let finalize_phase1 t =
           t.in_basis.(art) <- false;
           t.in_basis.(!best) <- true;
           t.basis.(i) <- !best;
-          (match eta_of_pivot t.work i m with
-          | Some e -> push_eta t e
+          (match Eta_file.of_pivot t.work i m with
+          | Some e -> Eta_file.push t.etas e
           | None -> ());
           Metrics.inc m_driveouts
         end
@@ -1205,7 +923,7 @@ let restore_feasibility t ~max_pivots =
       let r = !r in
       Array.fill rho 0 t.m 0.;
       rho.(r) <- 1.;
-      btran_apply t rho;
+      Eta_file.btran t.etas rho;
       let best = ref (-1) and best_a = ref (-.eps_pivot) in
       for j = 0 to t.n_struct - 1 do
         if t.allowed.(j) && not t.in_basis.(j) then begin
@@ -1242,7 +960,7 @@ let restore_feasibility t ~max_pivots =
              giving up on it. *)
           refactor t;
           Array.blit t.rhs_pert 0 t.xb 0 t.m;
-          ftran_apply t t.xb;
+          Eta_file.ftran t.etas t.xb;
           fresh := true
         end
         else begin
@@ -1271,7 +989,9 @@ let restore_feasibility t ~max_pivots =
           if leaving >= t.n_struct then t.allowed.(leaving) <- false;
           t.in_basis.(!best) <- true;
           t.basis.(r) <- !best;
-          (match eta_of_pivot w r t.m with Some e -> push_eta t e | None -> ());
+          (match Eta_file.of_pivot w r t.m with
+          | Some e -> Eta_file.push t.etas e
+          | None -> ());
           t.pivots_since_refactor <- t.pivots_since_refactor + 1;
           incr pivots;
           fresh := false;
@@ -1289,7 +1009,7 @@ let restore_feasibility t ~max_pivots =
               true
             end
             else if
-              float_of_int t.eta_nnz
+              float_of_int (Eta_file.nnz t.etas)
               > t.growth_limit *. float_of_int (t.base_eta_nnz + t.m)
             then begin
               Metrics.inc m_refactor_growth;
@@ -1302,7 +1022,7 @@ let restore_feasibility t ~max_pivots =
             refactor t;
             (* Restoration needs the UNclamped basic values. *)
             Array.blit t.rhs_pert 0 t.xb 0 t.m;
-            ftran_apply t t.xb;
+            Eta_file.ftran t.etas t.xb;
             fresh := true
           end
         end
@@ -1385,7 +1105,7 @@ let prepare_seeded_unspanned ?max_iter ?pert_scale ~seeds model =
     (* Unclamped basic values: restoration must see the infeasibilities
        the seeded basis has at the new right-hand side. *)
     Array.blit t.rhs_pert 0 t.xb 0 m;
-    ftran_apply t t.xb;
+    Eta_file.ftran t.etas t.xb;
     let infeasible = ref 0 in
     for i = 0 to m - 1 do
       if t.xb.(i) < -1e-9 then incr infeasible
@@ -1470,7 +1190,7 @@ let refine_basic ?(rounds = 2) t ~rhs x =
        done;
        if round = 1 then first := !worst;
        if !worst <= refine_floor then raise Exit;
-       ftran_apply t r;
+       Eta_file.ftran t.etas r;
        for i = 0 to t.m - 1 do
          x.(i) <- x.(i) +. r.(i)
        done
@@ -1500,7 +1220,7 @@ let refine_duals ?(rounds = 2) t ~cost_of y =
         if a > !worst then worst := a
       done;
       if !worst <= refine_floor then raise Exit;
-      btran_apply t r;
+      Eta_file.btran t.etas r;
       for i = 0 to t.m - 1 do
         y.(i) <- y.(i) +. r.(i)
       done
@@ -1528,7 +1248,7 @@ let optimize_unspanned ?max_iter t direction objective =
   let status, iterations = run_phase t ~cost_of ~max_iter ~stall_limit in
   t.solves <- t.solves + 1;
   if warm then Metrics.observe m_warm_pivots (float_of_int iterations);
-  Metrics.set m_eta_nnz (float_of_int t.eta_nnz);
+  Metrics.set m_eta_nnz (float_of_int (Eta_file.nnz t.etas));
   match status with
   | R_limit -> Simplex.Iteration_limit
   | R_unbounded -> Simplex.Unbounded
@@ -1541,7 +1261,7 @@ let optimize_unspanned ?max_iter t direction objective =
        FTRAN (rather than the incrementally-updated [t.xb]) avoids the
        clamping noise accumulated along the pivot trajectory. *)
     let x_wit = Array.copy t.rhs_pert in
-    ftran_apply t x_wit;
+    Eta_file.ftran t.etas x_wit;
     (* The simplex invariant puts every basic value above -tol_feas; a
        witness entry meaningfully below zero means the eta file itself
        has drifted (an ill-conditioned stretch of the trajectory), and
@@ -1559,7 +1279,7 @@ let optimize_unspanned ?max_iter t direction objective =
             !wit_min);
       refactor t;
       Array.blit t.rhs_pert 0 x_wit 0 t.m;
-      ftran_apply t x_wit
+      Eta_file.ftran t.etas x_wit
     end;
     (* Cheap one-sided condition estimate of the final basis:
        ‖B‖₁ · ‖B⁻¹·1‖∞ ≤ ‖B‖₁‖B⁻¹‖∞ = cond(B) up to the norm mismatch.
@@ -1575,7 +1295,7 @@ let optimize_unspanned ?max_iter t direction objective =
        if !s > !norm1 then norm1 := !s
      done;
      let z = Array.make t.m 1. in
-     ftran_apply t z;
+     Eta_file.ftran t.etas z;
      let ninf = ref 0. in
      for i = 0 to t.m - 1 do
        let a = Float.abs z.(i) in
@@ -1586,7 +1306,7 @@ let optimize_unspanned ?max_iter t direction objective =
        right-hand side, keeping reported point and objective free of the
        anti-degeneracy perturbation. *)
     let x_true = Array.copy t.std.Std_form.rhs in
-    ftran_apply t x_true;
+    Eta_file.ftran t.etas x_true;
     (* Iterative refinement of both reported points (exact and witness)
        through the final factorization, before anything is extracted or
        certified. *)
@@ -1612,7 +1332,7 @@ let optimize_unspanned ?max_iter t direction objective =
     for i = 0 to t.m - 1 do
       y.(i) <- cost_of t.basis.(i)
     done;
-    btran_apply t y;
+    Eta_file.btran t.etas y;
     refine_duals t ~cost_of y;
     let duals =
       Array.init t.std.Std_form.nrows_model (fun i ->
@@ -1650,7 +1370,7 @@ let stats t =
   {
     refactorizations = t.n_refactors;
     pivots = t.n_pivots;
-    eta_nnz = t.eta_nnz;
+    eta_nnz = Eta_file.nnz t.etas;
     solves = t.solves;
     refactor_stability = t.n_refactor_stability;
     refactor_growth = t.n_refactor_growth;

@@ -108,6 +108,9 @@ let iter_row t i f =
   done
 
 let nnz_row t i = t.row_ptr.(i + 1) - t.row_ptr.(i)
+let row_start t i = t.row_ptr.(i)
+let entry_col t p = t.col_idx.(p)
+let entry_value t p = t.values.(p)
 
 let dot_row t i x =
   let acc = ref 0. in

@@ -30,6 +30,18 @@ val iter_row : t -> int -> (int -> float -> unit) -> unit
 val nnz_row : t -> int -> int
 (** Stored entries in one row — O(1). *)
 
+val row_start : t -> int -> int
+(** Position of row [i]'s first stored entry: row [i] holds positions
+    [row_start t i] to [row_start t (i + 1) - 1] ([i] may be [nrows]).
+    With {!entry_col} and {!entry_value}, a closure-free traversal for
+    hot loops where {!iter_row} would box every value. *)
+
+val entry_col : t -> int -> int
+(** Column of the entry at a stored position. *)
+
+val entry_value : t -> int -> float
+(** Value of the entry at a stored position. *)
+
 val dot_row : t -> int -> float array -> float
 (** [dot_row t i x] is row [i] of [t] dotted with the dense vector [x] —
     the kernel of revised-simplex pricing when [t] stores a constraint

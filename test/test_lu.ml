@@ -1,0 +1,307 @@
+(* Differential test of the sparse LU: {!Mapqn_lp.Markowitz} against the
+   hash-table implementation it replaced ({!Legacy_lu}, run with the
+   default unrandomized hash seed).
+
+   Simplex trajectories are chaotic in the last bit of the eta file, so
+   "agrees to 1e-12" is not the contract: both implementations must
+   emit the same etas in the same order — rows, entry order, and the
+   bit patterns of every pivot and value — the same row assignment,
+   the same deferred, dropped and repaired sets, and the same health
+   extremes. The bases come from real solves (the Fig-4 tandem, random
+   3- and 4-queue models, every hard corpus model, harvested through
+   {!Markowitz.observe}) and from a generator of near-singular bases
+   that drives the deferred-column and basis-repair paths. *)
+
+module Markowitz = Mapqn_lp.Markowitz
+module Eta_file = Mapqn_lp.Eta_file
+module Csr = Mapqn_sparse.Csr
+module Bounds = Mapqn_core.Bounds
+module Constraints = Mapqn_core.Constraints
+module Network = Mapqn_model.Network
+module Random_models = Mapqn_workloads.Random_models
+module Tandem = Mapqn_workloads.Tandem
+
+(* ---------------- running both implementations ---------------- *)
+
+(* One workspace for every input, grown when a basis outgrows it (as the
+   solver does), so state one factorization left behind — for a basis of
+   any size — would corrupt the next. *)
+let shared = ref (Markowitz.workspace 0)
+
+let workspace m =
+  if Markowitz.rows !shared < m then shared := Markowitz.workspace m;
+  !shared
+
+let copy (inp : Markowitz.input) = { inp with basis = Array.copy inp.basis }
+let bits = Int64.bits_of_float
+
+(* The first difference between the two factorizations of [inp], if
+   any. *)
+let difference (inp : Markowitz.input) =
+  let file_ref = Eta_file.create () and file_new = Eta_file.create () in
+  let inp_ref = copy inp and inp_new = copy inp in
+  let r_ref = Legacy_lu.factorize file_ref inp_ref in
+  let r_new =
+    Markowitz.factorize (workspace (Array.length inp.basis)) file_new inp_new
+  in
+  let float_diff what a b =
+    if bits a <> bits b then Some (Printf.sprintf "%s: %h vs %h" what a b)
+    else None
+  in
+  let first = List.find_map Fun.id in
+  let eta_diff k =
+    let a = Eta_file.get file_ref k and b = Eta_file.get file_new k in
+    let what s = Printf.sprintf "eta %d %s" k s in
+    if a.row <> b.row then Some (what (Printf.sprintf "row %d vs %d" a.row b.row))
+    else if a.idx <> b.idx then Some (what "entry rows/order")
+    else
+      first
+        (float_diff (what "pivot") a.pivot b.pivot
+        :: List.init (Array.length a.vals) (fun p ->
+               float_diff (what (Printf.sprintf "value %d" p)) a.vals.(p) b.vals.(p)))
+  in
+  first
+    [
+      (if Eta_file.length file_ref <> Eta_file.length file_new then
+         Some
+           (Printf.sprintf "eta count %d vs %d" (Eta_file.length file_ref)
+              (Eta_file.length file_new))
+       else first (List.init (Eta_file.length file_ref) eta_diff));
+      (if inp_ref.basis <> inp_new.basis then Some "row assignment" else None);
+      (if r_ref.deferred <> r_new.deferred then Some "deferred columns" else None);
+      (if r_ref.dropped <> r_new.dropped then Some "dropped columns" else None);
+      (if r_ref.repaired <> r_new.repaired then Some "repaired rows" else None);
+      float_diff "growth" r_ref.growth r_new.growth;
+      float_diff "min pivot" r_ref.min_pivot r_new.min_pivot;
+      float_diff "max pivot" r_ref.max_pivot r_new.max_pivot;
+    ]
+
+let check_all what inputs =
+  if inputs = [] then Alcotest.failf "%s: no bases harvested" what;
+  List.iteri
+    (fun n inp ->
+      match difference inp with
+      | None -> ()
+      | Some d ->
+        Alcotest.failf "%s, basis %d (%d rows): %s" what n
+          (Array.length inp.Markowitz.basis) d)
+    inputs
+
+(* Every basis the solver factorizes while [f] runs, or [keep] (>= 2) of
+   them evenly spaced from the first to the last — the reference
+   implementation costs O(m²) per basis, and the suite has a 10 s
+   budget. *)
+let harvest ?keep f =
+  let acc = ref [] in
+  Markowitz.observe (fun inp -> acc := copy inp :: !acc) f;
+  let all = Array.of_list (List.rev !acc) in
+  let n = Array.length all in
+  match keep with
+  | Some k when k < n ->
+    List.init k (fun j -> all.(j * (n - 1) / (k - 1)))
+  | _ -> Array.to_list all
+
+(* ---------------- bases from real solves ---------------- *)
+
+let report =
+  Bounds.
+    [
+      Utilization 0;
+      Throughput 0;
+      Mean_queue_length 0;
+      Utilization 1;
+      Throughput 1;
+      Mean_queue_length 1;
+      Response_time { reference = 0 };
+    ]
+
+let test_tandem ?keep population () =
+  check_all
+    (Printf.sprintf "tandem N=%d" population)
+    (harvest ?keep (fun () ->
+         let b = Bounds.create_exn (Tandem.network ~population ()) in
+         ignore (Bounds.eval b report : (Bounds.metric * Bounds.interval) list)))
+
+let random_models ~spec ~count ~populations () =
+  let models = Random_models.generate_many ~spec ~seed:2008 count in
+  let inputs =
+    List.concat_map
+      (fun model ->
+        List.concat_map
+          (fun population ->
+            let net =
+              Network.with_population model.Random_models.network population
+            in
+            harvest ~keep:4 (fun () ->
+                ignore
+                  (Bounds.response_time (Bounds.create_exn net) : Bounds.interval)))
+          populations)
+      models
+  in
+  check_all
+    (Printf.sprintf "random %d-queue models" spec.Random_models.stations)
+    inputs
+
+let test_random3 =
+  random_models ~spec:Random_models.default_spec ~count:12 ~populations:[ 2; 6 ]
+
+let test_random4 =
+  random_models
+    ~spec:{ Random_models.default_spec with stations = 4; map_stations = 2 }
+    ~count:6 ~populations:[ 1; 3 ]
+
+(* Every hard corpus model, cold at the population that once failed its
+   certificate: the first, middle and last basis of its phase 1 (which
+   includes any rescue re-preparation). *)
+let test_corpus () =
+  let models = Lazy.force Corpus_fixture.corpus_models in
+  let inputs =
+    List.concat_map
+      (fun ((e : Corpus_fixture.entry), model) ->
+        let net =
+          Network.with_population model.Random_models.network e.fail_population
+        in
+        harvest ~keep:3 (fun () ->
+            ignore (Bounds.create_exn ~config:Constraints.standard net : Bounds.t)))
+      models
+  in
+  check_all (Printf.sprintf "%d corpus models" (List.length models)) inputs
+
+(* ---------------- near-singular bases ---------------- *)
+
+(* A random square basis whose columns mix fresh sparse columns with
+   exact, scaled and near copies of earlier ones, combinations of two,
+   all-tiny and empty columns, and artificial unit columns — the inputs
+   that reach column deferral (no entry above 1e-11 left), the dense
+   FTRAN pass, dropped columns and basis repair. *)
+let gen_basis =
+  let open QCheck.Gen in
+  int_range 2 18 >>= fun m ->
+  let value =
+    frequency
+      [
+        (4, oneofl [ 1.; -1.; 0.5; 2.; -0.25 ]);
+        (4, float_range (-3.) 3.);
+        (1, map (fun u -> 1e-12 *. u) (float_range 0.1 9.));
+        (1, map (fun u -> 1e-7 *. u) (float_range (-1.) 1.));
+      ]
+  in
+  let sparse_col =
+    int_range 1 (min m 4) >>= fun k ->
+    list_repeat k (pair (int_bound (m - 1)) value)
+  in
+  (* Kinds 0-6 are the special species below, 7 a fresh column (half of
+     them with a diagonal entry); the mix runs from all-fresh to mostly
+     special. *)
+  oneofl [ 0; 1; 3; 12 ] >>= fun special ->
+  let kind = frequency [ (special, int_bound 6); (12, return 7) ] in
+  list_repeat m
+    (triple kind sparse_col (pair (float_range (-2.) 2.) (int_bound (m - 1))))
+  >>= fun specs ->
+  list_repeat m bool >|= fun signs ->
+  let struct_cols = Array.make m [] and n = ref 0 in
+  let add entries =
+    struct_cols.(!n) <- entries;
+    incr n;
+    !n - 1
+  in
+  let scaled c = List.map (fun (i, v) -> (i, c *. v)) in
+  let art_used = Array.make m false in
+  let basis =
+    List.mapi
+      (fun k (kind, fresh, (scale, row)) ->
+        let earlier = if !n = 0 then None else Some struct_cols.(k * 7919 mod !n) in
+        match (kind, earlier) with
+        | 0, _ when not art_used.(row) ->
+          art_used.(row) <- true;
+          -1 - row
+        | 1, Some col -> add col
+        | 2, Some col -> add (scaled scale col)
+        | 3, Some col -> add ((row, 1e-12 *. scale) :: col)
+        | 4, Some col -> add (col @ scaled scale struct_cols.(k mod !n))
+        | 5, _ -> add (scaled 1e-12 fresh)
+        | 6, _ -> add []
+        | _ when row mod 2 = 0 -> add ((k, 2.5 +. scale) :: fresh)
+        | _ -> add fresh)
+      specs
+  in
+  let n_struct = max 1 !n in
+  let triplets =
+    List.concat
+      (List.init !n (fun j -> List.map (fun (i, v) -> (j, i, v)) struct_cols.(j)))
+  in
+  {
+    Markowitz.cols = Csr.of_coo ~rows:n_struct ~cols:m triplets;
+    n_struct;
+    art_row = Array.init m Fun.id;
+    art_sign = Array.of_list (List.map (fun s -> if s then 1. else -1.) signs);
+    basis =
+      Array.of_list
+        (List.map (fun c -> if c < 0 then n_struct + (-1 - c) else c) basis);
+  }
+
+let print_basis (inp : Markowitz.input) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "m=%d n_struct=%d basis=[%s]\n" (Array.length inp.basis)
+    inp.n_struct
+    (String.concat ";" (Array.to_list (Array.map string_of_int inp.basis)));
+  Csr.iter inp.cols (fun j i v -> Printf.bprintf b "  col %d row %d %h\n" j i v);
+  Buffer.contents b
+
+let arb_basis = QCheck.make ~print:print_basis gen_basis
+
+let prop_near_singular =
+  QCheck.Test.make ~name:"near-singular bases factorize identically" ~count:400
+    arb_basis (fun inp ->
+      match difference inp with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report d)
+
+(* The generator must actually reach the fallback paths it exists for. *)
+let test_paths_reached () =
+  let rand = Random.State.make [| 2008 |] in
+  let deferred = ref 0 and kept = ref 0 and dropped = ref 0 and repaired = ref 0 in
+  List.iter
+    (fun inp ->
+      let r =
+        Markowitz.factorize
+          (workspace (Array.length inp.Markowitz.basis))
+          (Eta_file.create ()) (copy inp)
+      in
+      if r.deferred <> [] then incr deferred;
+      if List.length r.dropped < List.length r.deferred then incr kept;
+      if r.dropped <> [] then incr dropped;
+      if r.repaired <> [] then incr repaired)
+    (QCheck.Gen.generate ~rand ~n:400 gen_basis);
+  Printf.printf
+    "near-singular sample: %d deferred, %d with a deferred column kept, %d \
+     dropped, %d repaired\n"
+    !deferred !kept !dropped !repaired;
+  List.iter
+    (fun (what, n) ->
+      if n = 0 then Alcotest.failf "generator never reaches %s" what)
+    [
+      ("deferral", !deferred);
+      ("a kept deferred column", !kept);
+      ("drops", !dropped);
+      ("repair", !repaired);
+    ]
+
+let () =
+  Alcotest.run "lu"
+    [
+      ( "harvested",
+        [
+          Alcotest.test_case "tandem N=5" `Quick (test_tandem 5);
+          Alcotest.test_case "tandem N=20" `Quick (test_tandem 20);
+          Alcotest.test_case "tandem N=60" `Quick (test_tandem ~keep:12 60);
+          Alcotest.test_case "random 3-queue models" `Quick test_random3;
+          Alcotest.test_case "random 4-queue models" `Quick test_random4;
+          Alcotest.test_case "hard corpus models" `Quick test_corpus;
+        ] );
+      ( "near-singular",
+        [
+          QCheck_alcotest.to_alcotest prop_near_singular;
+          Alcotest.test_case "fallback paths reached" `Quick test_paths_reached;
+        ] );
+    ]

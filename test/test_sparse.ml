@@ -78,6 +78,22 @@ let test_iter_order () =
   | (2, 0, 4.) :: _ -> ()
   | _ -> Alcotest.fail "unexpected order"
 
+(* The closure-free position accessors walk each row exactly as
+   [iter_row] does. *)
+let test_positions () =
+  let m = sample () in
+  for i = 0 to Csr.nrows m - 1 do
+    let via_iter = ref [] and via_pos = ref [] in
+    Csr.iter_row m i (fun j v -> via_iter := (j, v) :: !via_iter);
+    for p = Csr.row_start m i to Csr.row_start m (i + 1) - 1 do
+      via_pos := (Csr.entry_col m p, Csr.entry_value m p) :: !via_pos
+    done;
+    Alcotest.(check (list (pair int (float 0.))))
+      (Printf.sprintf "row %d" i) !via_iter !via_pos
+  done;
+  Alcotest.(check int) "last row ends at nnz" (Csr.nnz m)
+    (Csr.row_start m (Csr.nrows m))
+
 (* ---------------- Stationary ---------------- *)
 
 let birth_death_generator n ~birth ~death =
@@ -178,6 +194,7 @@ let () =
           Alcotest.test_case "transpose" `Quick test_transpose;
           Alcotest.test_case "row sums and scale" `Quick test_row_sums_scale;
           Alcotest.test_case "iteration order" `Quick test_iter_order;
+          Alcotest.test_case "entry positions" `Quick test_positions;
         ] );
       ( "stationary",
         [
