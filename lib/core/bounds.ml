@@ -425,7 +425,9 @@ let certify_check t direction objective s =
    3. [Cold_resolve] — fresh prepare at a different perturbation salt
                        base and a 10× tighter scale: an entirely
                        different degenerate trajectory, discarding all
-                       warm-start state.
+                       warm-start state. The only rung before the
+                       oracle that also serves a dense backend (at the
+                       shifted salt base alone).
    4. [Dense_oracle] — the dense-tableau backend as an independent
                        oracle, gated by LP size (its tableau is m×n
                        dense where the revised solver is O(nnz)).
@@ -464,6 +466,16 @@ let rescue t direction objective (f0 : Certificate.failure) =
   in
   let rung_reprepare rung ~pert_scale ~salt () =
     match t.backend with
+    | B_dense _ when rung = Health.Cold_resolve -> (
+      (* The dense tableau has no perturbation scale to tighten, but a
+         shifted salt base gives it an entirely different degenerate
+         trajectory too. *)
+      match Simplex.prepare ?max_iter:t.max_iter ~salt t.model with
+      | Error _ -> None
+      | Ok p ->
+        attempt rung
+          ~install:(fun () -> swap_backend t (B_dense p))
+          (fun () -> Simplex.optimize ?max_iter:t.max_iter p direction objective))
     | B_dense _ -> None
     | B_revised _ -> (
       match

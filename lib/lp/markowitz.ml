@@ -753,9 +753,7 @@ let factorize ws file inp =
       if !r < 0 then dropped := c :: !dropped
       else begin
         note_pivot h w.(!r);
-        (match Eta_file.of_pivot w !r m with
-        | Some e -> Eta_file.push file e
-        | None -> ());
+        Eta_file.push_pivot file w !r m;
         assigned.(!r) <- true;
         new_basis.(!r) <- c
       end)

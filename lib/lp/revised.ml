@@ -409,9 +409,7 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
           if leaving >= t.n_struct then t.allowed.(leaving) <- false;
           t.in_basis.(q) <- true;
           t.basis.(r) <- q;
-          (match Eta_file.of_pivot w r t.m with
-          | Some e -> Eta_file.push t.etas e
-          | None -> ());
+          Eta_file.push_pivot t.etas w r t.m;
           if prof then update_t := !update_t +. (Prof.now () -. t3);
           t.pivots_since_refactor <- t.pivots_since_refactor + 1;
           incr iter;
@@ -682,6 +680,7 @@ let artificial_mass t =
    artificials out of the basis, and record the resulting basis as the
    warm-start anchor of {!reset}. *)
 let finalize_phase1 t =
+  Span.with_ "driveout" @@ fun () ->
   let m = t.m in
   for j = t.n_struct to t.n_total - 1 do
     t.allowed.(j) <- false
@@ -701,9 +700,7 @@ let finalize_phase1 t =
   let rho = Array.make m 0. in
   for i = 0 to m - 1 do
     if t.basis.(i) >= t.n_struct then begin
-      Array.fill rho 0 m 0.;
-      rho.(i) <- 1.;
-      Eta_file.btran t.etas rho;
+      Eta_file.btran_unit t.etas i rho;
       let best = ref (-1) and best_mag = ref 1e-6 in
       for j = 0 to t.n_struct - 1 do
         if not t.in_basis.(j) then begin
@@ -740,9 +737,7 @@ let finalize_phase1 t =
           t.in_basis.(art) <- false;
           t.in_basis.(!best) <- true;
           t.basis.(i) <- !best;
-          (match Eta_file.of_pivot t.work i m with
-          | Some e -> Eta_file.push t.etas e
-          | None -> ());
+          Eta_file.push_pivot t.etas t.work i m;
           Metrics.inc m_driveouts
         end
       end
@@ -897,6 +892,7 @@ let basis_seeds ?(phase1 = false) t =
    termination proof on degenerate LPs, the caller falls back to a cold
    phase 1 when it trips. *)
 let restore_feasibility t ~max_pivots =
+  Span.with_ "restore" @@ fun () ->
   let rho = Array.make t.m 0. in
   let w = t.work in
   let pivots = ref 0 in
@@ -921,9 +917,7 @@ let restore_feasibility t ~max_pivots =
     end
     else begin
       let r = !r in
-      Array.fill rho 0 t.m 0.;
-      rho.(r) <- 1.;
-      Eta_file.btran t.etas rho;
+      Eta_file.btran_unit t.etas r rho;
       let best = ref (-1) and best_a = ref (-.eps_pivot) in
       for j = 0 to t.n_struct - 1 do
         if t.allowed.(j) && not t.in_basis.(j) then begin
@@ -989,9 +983,7 @@ let restore_feasibility t ~max_pivots =
           if leaving >= t.n_struct then t.allowed.(leaving) <- false;
           t.in_basis.(!best) <- true;
           t.basis.(r) <- !best;
-          (match Eta_file.of_pivot w r t.m with
-          | Some e -> Eta_file.push t.etas e
-          | None -> ());
+          Eta_file.push_pivot t.etas w r t.m;
           t.pivots_since_refactor <- t.pivots_since_refactor + 1;
           incr pivots;
           fresh := false;

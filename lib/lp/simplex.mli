@@ -57,8 +57,12 @@ val prepare_error_to_string : prepare_error -> string
 type prepared
 (** A feasible basis for a model (output of phase 1). *)
 
-val prepare : ?max_iter:int -> Lp_model.t -> (prepared, prepare_error) result
-(** Run phase 1. Default [max_iter] is [50_000 + 50 * (rows + vars)]. *)
+val prepare :
+  ?max_iter:int -> ?salt:int -> Lp_model.t -> (prepared, prepare_error) result
+(** Run phase 1. Default [max_iter] is [50_000 + 50 * (rows + vars)].
+    A stall or leftover artificial mass retries with fresh
+    anti-degeneracy perturbations, salts [salt] (default [0]) to
+    [salt + 3]. *)
 
 val optimize :
   ?max_iter:int -> prepared -> direction -> (Lp_model.var * float) list -> outcome

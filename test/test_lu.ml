@@ -10,7 +10,11 @@
    extremes. The bases come from real solves (the Fig-4 tandem, random
    3- and 4-queue models, every hard corpus model, harvested through
    {!Markowitz.observe}) and from a generator of near-singular bases
-   that drives the deferred-column and basis-repair paths. *)
+   that drives the deferred-column and basis-repair paths.
+
+   The same bases, factorized and extended with simplex pivots, check
+   {!Eta_file.btran_unit} against {!Eta_file.btran} on every unit
+   vector, bit for bit up to the sign of zero. *)
 
 module Markowitz = Mapqn_lp.Markowitz
 module Eta_file = Mapqn_lp.Eta_file
@@ -287,6 +291,206 @@ let test_paths_reached () =
       ("repair", !repaired);
     ]
 
+(* ---------------- hypersparse unit BTRAN ---------------- *)
+
+(* Bits with -0 read as +0: [btran_unit] may differ from [btran] in the
+   sign of an exact zero only. *)
+let canon x = if x = 0. then 0L else bits x
+
+(* The first row i where [btran_unit file i] differs from [btran] on eᵢ,
+   and the number of rows whose result has more than m/32 nonzeros —
+   rows that must have reached the dense switch, since until it the
+   tracked support (at most m/32 rows) covers every nonzero. *)
+let btran_unit_check file m =
+  let y = Array.make m 0. and z = Array.make m 0. in
+  let wide = ref 0 in
+  let rec row i =
+    if i >= m then None
+    else begin
+      Array.fill z 0 m 0.;
+      z.(i) <- 1.;
+      Eta_file.btran file z;
+      Eta_file.btran_unit file i y;
+      let nz = ref 0 and bad = ref (-1) in
+      for j = m - 1 downto 0 do
+        if z.(j) <> 0. then incr nz;
+        if canon y.(j) <> canon z.(j) then bad := j
+      done;
+      if !nz > m / 32 then incr wide;
+      if !bad >= 0 then
+        Some
+          (Printf.sprintf "row %d, entry %d: %h vs %h" i !bad y.(!bad) z.(!bad))
+      else row (i + 1)
+    end
+  in
+  let diff = row 0 in
+  (diff, !wide)
+
+let same_eta (a : Eta_file.eta) (b : Eta_file.eta) =
+  a.row = b.row && bits a.pivot = bits b.pivot && a.idx = b.idx
+  && Array.for_all2 (fun u v -> bits u = bits v) a.vals b.vals
+
+(* Factorize [inp], then append up to [extra] simplex pivots the way the
+   solver does: FTRAN a nonbasic structural column and [push_pivot] it
+   on its largest entry, checking each stored eta against [of_pivot]. *)
+let extended_file ~extra (inp : Markowitz.input) =
+  let m = Array.length inp.basis in
+  let inp = copy inp in
+  let file = Eta_file.create () in
+  ignore (Markowitz.factorize (workspace m) file inp : Markowitz.result);
+  let basic = Array.make inp.n_struct false in
+  Array.iter (fun c -> if c < inp.n_struct then basic.(c) <- true) inp.basis;
+  let w = Array.make m 0. in
+  let stride = max 1 (inp.n_struct / max 1 extra) in
+  let j = ref 0 in
+  while !j < inp.n_struct do
+    if not basic.(!j) then begin
+      Array.fill w 0 m 0.;
+      Csr.scatter_row inp.cols !j w;
+      Eta_file.ftran file w;
+      let r = ref 0 in
+      for i = 1 to m - 1 do
+        if Float.abs w.(i) > Float.abs w.(!r) then r := i
+      done;
+      if Float.abs w.(!r) > 1e-9 then begin
+        let n0 = Eta_file.length file in
+        let expected = Eta_file.of_pivot w !r m in
+        Eta_file.push_pivot file w !r m;
+        match expected with
+        | None ->
+          if Eta_file.length file <> n0 then
+            Alcotest.fail "push_pivot stored an identity eta"
+        | Some e ->
+          if not (Eta_file.length file = n0 + 1 && same_eta e (Eta_file.get file n0))
+          then Alcotest.fail "push_pivot stored a different eta than of_pivot"
+      end
+    end;
+    j := !j + stride
+  done;
+  file
+
+let check_btran_unit what inputs =
+  if inputs = [] then Alcotest.failf "%s: no bases harvested" what;
+  List.iteri
+    (fun n (inp : Markowitz.input) ->
+      let m = Array.length inp.basis in
+      match btran_unit_check (extended_file ~extra:24 inp) m with
+      | None, _ -> ()
+      | Some d, _ -> Alcotest.failf "%s, basis %d (%d rows): %s" what n m d)
+    inputs
+
+let test_btran_unit_tandem ~keep population () =
+  check_btran_unit
+    (Printf.sprintf "tandem N=%d" population)
+    (harvest ~keep (fun () ->
+         ignore (Bounds.create_exn (Tandem.network ~population ()) : Bounds.t)))
+
+let test_btran_unit_corpus () =
+  let models = Lazy.force Corpus_fixture.corpus_models in
+  check_btran_unit
+    (Printf.sprintf "%d corpus models" (List.length models))
+    (List.concat_map
+       (fun ((e : Corpus_fixture.entry), model) ->
+         let net =
+           Network.with_population model.Random_models.network e.fail_population
+         in
+         harvest ~keep:2 (fun () ->
+             ignore (Bounds.create_exn ~config:Constraints.standard net : Bounds.t)))
+       models)
+
+(* A random eta file mixing ascending etas stored by [push_pivot] with
+   unordered ones stored by [push]: short and long, with values that
+   cancel exactly (so results pass through ±0), over m = 32..160 rows,
+   where the m/32 dense switch comes after one to five support rows. *)
+let gen_eta_file =
+  let open QCheck.Gen in
+  int_range 32 160 >>= fun m ->
+  let value =
+    frequency
+      [ (3, oneofl [ 1.; -1.; 0.5; -2. ]); (2, float_range (-3.) 3.) ]
+  in
+  let eta =
+    quad bool (int_bound (m - 1)) value
+      (frequency
+         [
+           (3, int_range 0 4);
+           (2, int_range 5 24);
+           (1, int_range 25 (m - 1));
+         ]
+      >>= fun len -> list_repeat len (pair (int_bound (m - 1)) value))
+  in
+  int_range 1 40 >>= fun k ->
+  list_repeat k eta >|= fun etas -> (m, etas)
+
+let eta_file_of (m, etas) =
+  let file = Eta_file.create () in
+  List.iter
+    (fun (ascending, row, pivot, entries) ->
+      let pivot = if pivot = 0. then 1. else pivot in
+      let w = Array.make m 0. in
+      List.iter (fun (i, v) -> if i <> row then w.(i) <- v) entries;
+      w.(row) <- pivot;
+      if ascending then Eta_file.push_pivot file w row m
+      else begin
+        (* The same entries, newest draw first: not ascending. *)
+        let seen = Array.make m false in
+        let entries =
+          List.filter
+            (fun (i, _) ->
+              let fresh = i <> row && w.(i) <> 0. && not seen.(i) in
+              if fresh then seen.(i) <- true;
+              fresh)
+            (List.rev entries)
+        in
+        Eta_file.push file
+          {
+            Eta_file.row;
+            pivot;
+            idx = Array.of_list (List.map fst entries);
+            vals = Array.of_list (List.map (fun (i, _) -> w.(i)) entries);
+          }
+      end)
+    etas;
+  file
+
+let print_eta_file (m, etas) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "m=%d\n" m;
+  List.iter
+    (fun (ascending, row, pivot, entries) ->
+      Printf.bprintf b "  %s row %d pivot %h:%s\n"
+        (if ascending then "push_pivot" else "push")
+        row pivot
+        (String.concat ""
+           (List.map (fun (i, v) -> Printf.sprintf " %d:%h" i v) entries)))
+    etas;
+  Buffer.contents b
+
+let prop_btran_unit =
+  QCheck.Test.make ~name:"btran_unit = btran on every unit vector" ~count:300
+    (QCheck.make ~print:print_eta_file gen_eta_file)
+    (fun ((m, _) as spec) ->
+      match btran_unit_check (eta_file_of spec) m with
+      | None, _ -> true
+      | Some d, _ -> QCheck.Test.fail_report d)
+
+(* The generator must reach the dense switch, on some rows but not
+   all. *)
+let test_btran_unit_paths () =
+  let rand = Random.State.make [| 2008 |] in
+  let wide = ref 0 and narrow = ref 0 in
+  List.iter
+    (fun ((m, _) as spec) ->
+      let _, w = btran_unit_check (eta_file_of spec) m in
+      wide := !wide + w;
+      narrow := !narrow + (m - w))
+    (QCheck.Gen.generate ~rand ~n:300 gen_eta_file);
+  Printf.printf
+    "unit BTRAN sample: %d rows past the dense switch, %d ending below it\n"
+    !wide !narrow;
+  if !wide = 0 then Alcotest.fail "generator never reaches the dense switch";
+  if !narrow = 0 then Alcotest.fail "every row ends past the dense switch"
+
 let () =
   Alcotest.run "lu"
     [
@@ -303,5 +507,15 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_near_singular;
           Alcotest.test_case "fallback paths reached" `Quick test_paths_reached;
+        ] );
+      ( "btran-unit",
+        [
+          Alcotest.test_case "tandem N=20" `Quick
+            (test_btran_unit_tandem ~keep:4 20);
+          Alcotest.test_case "tandem N=60" `Quick
+            (test_btran_unit_tandem ~keep:3 60);
+          Alcotest.test_case "hard corpus models" `Quick test_btran_unit_corpus;
+          QCheck_alcotest.to_alcotest prop_btran_unit;
+          Alcotest.test_case "dense switch reached" `Quick test_btran_unit_paths;
         ] );
     ]
