@@ -64,22 +64,12 @@ let contains i x =
   x >= i.lower -. tol && x <= i.upper +. tol
 
 (* ------------------------------------------------------------------ *)
-(* Construction                                                        *)
+(* Handles                                                             *)
 (* ------------------------------------------------------------------ *)
 
 type solver = Dense | Revised
 
 type backend = B_dense of Simplex.prepared | B_revised of Revised.t
-
-(* Certificate rescue policy. On a certificate failure the solve
-   escalates through a ladder of increasingly drastic retries (refine →
-   reperturb tighter → cold re-solve → dense-tableau oracle);
-   [max_rung] caps how far it may climb and [accept_uncertified] turns
-   an exhausted ladder into a recorded [Health.Uncertified] outcome
-   instead of a raised [Certificate_failure]. *)
-type rescue_policy = { max_rung : int; accept_uncertified : bool }
-
-let default_rescue = { max_rung = 4; accept_uncertified = false }
 
 type t = {
   network : Mapqn_model.Network.t;
@@ -90,15 +80,12 @@ type t = {
          the accepted result, so later objectives benefit from it *)
   config : Constraints.config;
   max_iter : int option;
-  rescue : rescue_policy;
-  (* Work counters of backends the rescue ladder retired, so
-     [work_snapshot] deltas stay monotone across a swap. *)
-  mutable retired_pivots : int;
-  mutable retired_refactors : int;
-  mutable retired_stability : int;
-  mutable retired_growth : int;
-  mutable retired_drift : int;
-  mutable retired_backstop : int;
+  accept_uncertified : bool;
+  mutable retired : Revised.stats;
+      (* Work of the revised states this handle no longer holds: those
+         the rescue ladder swapped out and, for a sweep step, every
+         earlier population's. Keeps ledger deltas monotone across a
+         swap and makes [Sweep.stats] one read of the latest handle. *)
 }
 
 let default_solver = Revised
@@ -108,98 +95,185 @@ let m_rescues =
     ~help:"Certificate or phase-1 failures that entered the rescue ladder."
     "bounds_rescue_attempts_total"
 
-(* The dense oracle materializes an m×n tableau; past ~2e6 cells the
-   memory and per-pivot cost stop being a rescue and start being a
-   hang, and the big-population LPs it would cover are not where the
-   hard models live anyway. *)
+(* ------------------------------------------------------------------ *)
+(* Solver work                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Ledger records diff the solver states' own [Revised.stats], not the
+   process-wide metric counters, so a record's deltas stay correct while
+   other domains solve concurrently (a fleet run). *)
+let no_work =
+  {
+    Revised.refactorizations = 0;
+    pivots = 0;
+    eta_nnz = 0;
+    solves = 0;
+    refactor_stability = 0;
+    refactor_growth = 0;
+    refactor_drift = 0;
+    refactor_backstop = 0;
+  }
+
+let add_work (a : Revised.stats) (b : Revised.stats) =
+  {
+    Revised.refactorizations = a.refactorizations + b.refactorizations;
+    pivots = a.pivots + b.pivots;
+    eta_nnz = a.eta_nnz + b.eta_nnz;
+    solves = a.solves + b.solves;
+    refactor_stability = a.refactor_stability + b.refactor_stability;
+    refactor_growth = a.refactor_growth + b.refactor_growth;
+    refactor_drift = a.refactor_drift + b.refactor_drift;
+    refactor_backstop = a.refactor_backstop + b.refactor_backstop;
+  }
+
+let work t =
+  match t.backend with
+  | B_dense _ -> t.retired
+  | B_revised r -> add_work t.retired (Revised.stats r)
+
+let swap_backend t backend =
+  t.retired <- work t;
+  t.backend <- backend
+
+(* ------------------------------------------------------------------ *)
+(* The rescue ladder                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A failed certificate, and a revised prepare that reports these
+   always-feasible LPs infeasible or hits its phase-1 cap, are numerics,
+   not modeling. Both climb one ladder of increasingly drastic ways to
+   re-derive the solution, in {!Health.rescue} order; the first rung that
+   works is recorded as the solve's rescue cause.
+
+   - [Refine]: rebuild the factorization of the same basis and
+     re-optimize warm, washing out eta-file drift the in-solve refinement
+     could not correct through a stale factorization. A failed prepare
+     skips it: there is no optimal basis to refine.
+   - [Reprepare]: a fresh revised prepare at [scale] times the failing
+     state's perturbation scale (1 at prepare time), with salt base
+     [salt], all warm-start state discarded. Reperturb tightens 100×, so
+     the witness tracks the true constraints closer, at some risk of
+     degenerate cycling (phase 1's salt retries cover that). Cold
+     re-solve tightens 10× with salt base 7, which [Revised.prepare]
+     reads as a longer retry budget (draws 0 to 10) and the dense
+     tableau as its first draw. It is the only rung that also serves a
+     dense backend, which has no scale to tighten but takes the salt.
+   - [Dense_tableau]: the dense simplex as an independent oracle, gated
+     by LP size: its tableau is m×n dense where the revised solver is
+     O(nnz), and past [dense_rescue_cells] the memory and per-pivot cost
+     stop being a rescue and start being a hang.
+
+   A failed prepare returns its original error when the ladder is
+   exhausted; a failed certificate raises it, or records
+   [Health.Uncertified] under [accept_uncertified]. *)
+type rung =
+  | Refine
+  | Reprepare of { scale : float; salt : int; serves_dense : bool }
+  | Dense_tableau
+
+let ladder =
+  [
+    (Health.Refined, Refine);
+    ( Health.Reperturbed,
+      Reprepare { scale = 0.01; salt = 0; serves_dense = false } );
+    ( Health.Cold_resolve,
+      Reprepare { scale = 0.1; salt = 7; serves_dense = true } );
+    (Health.Dense_oracle, Dense_tableau);
+  ]
+
 let dense_rescue_cells = 2_000_000
 
-(* Phase-1 rescue. [Revised.prepare] reporting the LP infeasible (or
-   hitting its phase-1 iteration cap) is always numerics on these
-   models — the exact aggregated solution is feasible by construction —
-   so a failed prepare climbs the same ladder as a failed certificate,
-   minus the refine rung (there is no optimal basis to refine): a 100×
-   tighter reperturbation, a cold re-solve at a shifted salt base, then
-   the dense tableau as an independent oracle. The winning rung is
-   recorded as the solve's {!Health.rescue} cause. *)
-let rescue_prepare ~policy ?max_iter model err =
-  Mapqn_obs.Metrics.inc m_rescues;
-  let attempt depth rung prepare =
-    if depth > policy.max_rung then None
-    else
-      match prepare () with
-      | Ok p ->
-        Health.observe_rescue rung;
-        Some p
-      | Error _ -> None
-  in
-  let reperturbed () =
-    attempt 2 Health.Reperturbed (fun () ->
-        Result.map
-          (fun p -> B_revised p)
-          (Revised.prepare ?max_iter ~pert_scale:0.01 ~salt:0 model))
-  and cold_resolve () =
-    attempt 3 Health.Cold_resolve (fun () ->
-        Result.map
-          (fun p -> B_revised p)
-          (Revised.prepare ?max_iter ~pert_scale:0.1 ~salt:7 model))
-  and dense_oracle () =
+(* The fresh backend a re-preparing rung derives for [model] from the
+   [failing] one ([None] for a failed prepare); [None] when the rung does
+   not apply or its own prepare fails. *)
+let reprepare ?max_iter model failing rung =
+  let prepared wrap = function Ok p -> Some (wrap p) | Error _ -> None in
+  match (rung, failing) with
+  | Refine, _ | Reprepare { serves_dense = false; _ }, Some (B_dense _) -> None
+  | Reprepare { salt; _ }, Some (B_dense _) ->
+    prepared (fun p -> B_dense p) (Simplex.prepare ?max_iter ~salt model)
+  | Reprepare { scale; salt; _ }, (None | Some (B_revised _)) ->
+    let current =
+      match failing with Some (B_revised r) -> Revised.pert_scale r | _ -> 1.
+    in
+    prepared
+      (fun p -> B_revised p)
+      (Revised.prepare ?max_iter ~pert_scale:(current *. scale) ~salt model)
+  | Dense_tableau, _ ->
     if Lp.num_vars model * Lp.num_rows model > dense_rescue_cells then None
-    else
-      attempt 4 Health.Dense_oracle (fun () ->
-          Result.map (fun p -> B_dense p) (Simplex.prepare ?max_iter model))
+    else prepared (fun p -> B_dense p) (Simplex.prepare ?max_iter model)
+
+let rescue_prepare ?max_iter model err =
+  Mapqn_obs.Metrics.inc m_rescues;
+  Mapqn_obs.Span.with_ "bounds.rescue" @@ fun () ->
+  let rec climb = function
+    | [] -> Error err
+    | (cause, rung) :: rest -> (
+      match reprepare ?max_iter model None rung with
+      | Some backend ->
+        Health.observe_rescue cause;
+        Ok backend
+      | None -> climb rest)
   in
-  let rescued =
-    Mapqn_obs.Span.with_ "bounds.rescue" (fun () ->
-        match reperturbed () with
-        | Some _ as r -> r
-        | None -> (
-          match cold_resolve () with
-          | Some _ as r -> r
-          | None -> dense_oracle ()))
+  climb ladder
+
+(* ------------------------------------------------------------------ *)
+(* Construction                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The one path from a built LP to a handle, shared by [create] and
+   [Sweep.step]: phase 1, seeded from [seeds] when given, with a failed
+   revised prepare climbing the rescue ladder (the dense oracle itself
+   stays unrescued). Also returns whether the seed took. *)
+let prepare ~solver ~config ?max_iter ~accept_uncertified ?seeds ~retired
+    network ms model =
+  Mapqn_obs.Span.with_ "bounds.prepare" @@ fun () ->
+  let prepared =
+    match solver with
+    | Dense ->
+      Result.map (fun p -> (B_dense p, false)) (Simplex.prepare ?max_iter model)
+    | Revised -> (
+      let first =
+        match seeds with
+        | Some seeds -> Revised.prepare_seeded ?max_iter ~seeds model
+        | None ->
+          Result.map (fun p -> (p, false)) (Revised.prepare ?max_iter model)
+      in
+      match first with
+      | Ok (p, seeded) -> Ok (B_revised p, seeded)
+      | Error e ->
+        Result.map (fun b -> (b, false)) (rescue_prepare ?max_iter model e))
   in
-  match rescued with Some b -> Ok b | None -> Error err
+  match prepared with
+  | Ok (backend, seeded) ->
+    Ok
+      ( {
+          network;
+          ms;
+          model;
+          backend;
+          config;
+          max_iter;
+          accept_uncertified;
+          retired;
+        },
+        seeded )
+  | Error Simplex.Infeasible_phase1 -> Error Infeasible_phase1
+  | Error (Simplex.Iteration_limit_phase1 k) -> Error (Iteration_limit k)
 
 let create ?(solver = default_solver) ?(config = Constraints.standard) ?max_iter
-    ?(rescue = default_rescue) network =
+    ?(accept_uncertified = false) network =
   Mapqn_obs.Span.with_ "bounds.create" @@ fun () ->
   if Mapqn_model.Network.has_delay network then
     Error (Unsupported_network "a delay (infinite-server) station")
-  else begin
+  else
     let ms, model = Constraints.build config network in
-    let lift = function
-      | Ok backend ->
-        Ok
-          {
-            network;
-            ms;
-            model;
-            backend;
-            config;
-            max_iter;
-            rescue;
-            retired_pivots = 0;
-            retired_refactors = 0;
-            retired_stability = 0;
-            retired_growth = 0;
-            retired_drift = 0;
-            retired_backstop = 0;
-          }
-      | Error Simplex.Infeasible_phase1 -> Error Infeasible_phase1
-      | Error (Simplex.Iteration_limit_phase1 k) -> Error (Iteration_limit k)
-    in
-    Mapqn_obs.Span.with_ "bounds.prepare" @@ fun () ->
-    match solver with
-    | Dense ->
-      lift (Result.map (fun p -> B_dense p) (Simplex.prepare ?max_iter model))
-    | Revised -> (
-      match Revised.prepare ?max_iter model with
-      | Ok p -> lift (Ok (B_revised p))
-      | Error e -> lift (rescue_prepare ~policy:rescue ?max_iter model e))
-  end
+    Result.map fst
+      (prepare ~solver ~config ?max_iter ~accept_uncertified ~retired:no_work
+         network ms model)
 
-let create_exn ?solver ?config ?max_iter ?rescue network =
-  match create ?solver ?config ?max_iter ?rescue network with
+let create_exn ?solver ?config ?max_iter ?accept_uncertified network =
+  match create ?solver ?config ?max_iter ?accept_uncertified network with
   | Ok t -> t
   | Error e -> raise (Solver_error e)
 
@@ -232,71 +306,6 @@ let m_eval_seconds =
 (* Run-ledger provenance                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Deltas of the revised-solver work counters around one unit of
-   ledger-recorded work (an eval or a sweep step). These come from the
-   backend instance's own [Revised.stats] — NOT the process-wide
-   metric counters — so a record's deltas stay correct when other
-   domains are solving concurrently (a fleet run). Prepare-phase work
-   (phase 1, seeded feasibility restoration) counts toward the step
-   that performs it. *)
-type work_snapshot = {
-  ws_pivots : float;
-  ws_refactors : float;
-  ws_stability : float;
-  ws_growth : float;
-  ws_drift : float;
-  ws_backstop : float;
-}
-
-let zero_work =
-  {
-    ws_pivots = 0.;
-    ws_refactors = 0.;
-    ws_stability = 0.;
-    ws_growth = 0.;
-    ws_drift = 0.;
-    ws_backstop = 0.;
-  }
-
-let work_snapshot t =
-  let cur =
-    match t.backend with
-    | B_dense _ -> zero_work
-    | B_revised r ->
-      let s = Revised.stats r in
-      {
-        ws_pivots = float_of_int s.Revised.pivots;
-        ws_refactors = float_of_int s.Revised.refactorizations;
-        ws_stability = float_of_int s.Revised.refactor_stability;
-        ws_growth = float_of_int s.Revised.refactor_growth;
-        ws_drift = float_of_int s.Revised.refactor_drift;
-        ws_backstop = float_of_int s.Revised.refactor_backstop;
-      }
-  in
-  {
-    ws_pivots = cur.ws_pivots +. float_of_int t.retired_pivots;
-    ws_refactors = cur.ws_refactors +. float_of_int t.retired_refactors;
-    ws_stability = cur.ws_stability +. float_of_int t.retired_stability;
-    ws_growth = cur.ws_growth +. float_of_int t.retired_growth;
-    ws_drift = cur.ws_drift +. float_of_int t.retired_drift;
-    ws_backstop = cur.ws_backstop +. float_of_int t.retired_backstop;
-  }
-
-(* Retire the current backend's work into the running totals and swap in
-   the replacement the rescue ladder prepared. *)
-let swap_backend t backend =
-  (match t.backend with
-  | B_dense _ -> ()
-  | B_revised r ->
-    let s = Revised.stats r in
-    t.retired_pivots <- t.retired_pivots + s.Revised.pivots;
-    t.retired_refactors <- t.retired_refactors + s.Revised.refactorizations;
-    t.retired_stability <- t.retired_stability + s.Revised.refactor_stability;
-    t.retired_growth <- t.retired_growth + s.Revised.refactor_growth;
-    t.retired_drift <- t.retired_drift + s.Revised.refactor_drift;
-    t.retired_backstop <- t.retired_backstop + s.Revised.refactor_backstop);
-  t.backend <- backend
-
 let solver_name t =
   match t.backend with B_dense _ -> "dense" | B_revised _ -> "revised"
 
@@ -304,11 +313,12 @@ let solver_name t =
    fingerprint, LP size, solver work deltas by refactorization cause,
    the certificate residual triple (with the tolerances it was judged
    against) and the numerical-health snapshot of this unit of work. *)
-let ledger_fields t ~duration ~before =
-  let after = work_snapshot t in
+let ledger_fields t ~duration ~(before : Revised.stats) =
+  let after = work t in
   let h = Health.current () in
   let nvars, nrows = lp_size t in
   let num v = Json.Number v in
+  let delta count = num (float_of_int (count after - count before)) in
   [
     ("fingerprint", Json.String (Mapqn_model.Network.fingerprint t.network));
     ( "population",
@@ -317,15 +327,15 @@ let ledger_fields t ~duration ~before =
     ("lp_vars", num (float_of_int nvars));
     ("lp_rows", num (float_of_int nrows));
     ("duration_s", num duration);
-    ("pivots", num (after.ws_pivots -. before.ws_pivots));
-    ("refactorizations", num (after.ws_refactors -. before.ws_refactors));
+    ("pivots", delta (fun w -> w.Revised.pivots));
+    ("refactorizations", delta (fun w -> w.Revised.refactorizations));
     ( "refactor_causes",
       Json.Object
         [
-          ("stability", num (after.ws_stability -. before.ws_stability));
-          ("growth", num (after.ws_growth -. before.ws_growth));
-          ("drift", num (after.ws_drift -. before.ws_drift));
-          ("backstop", num (after.ws_backstop -. before.ws_backstop));
+          ("stability", delta (fun w -> w.Revised.refactor_stability));
+          ("growth", delta (fun w -> w.Revised.refactor_growth));
+          ("drift", delta (fun w -> w.Revised.refactor_drift));
+          ("backstop", delta (fun w -> w.Revised.refactor_backstop));
         ] );
     ( "certificate",
       Json.Object
@@ -341,8 +351,8 @@ let ledger_fields t ~duration ~before =
     ("health", Health.to_json h);
   ]
 
-let backend_optimize t direction objective =
-  match t.backend with
+let backend_optimize t backend direction objective =
+  match backend with
   | B_dense p -> Simplex.optimize ?max_iter:t.max_iter p direction objective
   | B_revised p -> Revised.optimize ?max_iter:t.max_iter p direction objective
 
@@ -405,118 +415,23 @@ let certify_check t direction objective s =
          });
   Result.map (fun _ -> ()) outcome
 
-(* ------------------------------------------------------------------ *)
-(* Certificate rescue ladder                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Escalation on a failed certificate. Each rung re-derives the solution
-   by a more drastic (and more expensive) route and re-certifies; the
-   first passing rung wins and is recorded as a typed
-   {!Health.rescue} outcome in the ledger. The ladder:
-
-   1. [Refined]      — rebuild the factorization of the same basis and
-                       re-optimize warm: washes out eta-file drift the
-                       in-solve refinement could not correct through a
-                       stale factorization.
-   2. [Reperturbed]  — fresh prepare at a 100× tighter perturbation:
-                       the witness tracks the true constraints 100×
-                       closer, at some risk of degenerate cycling
-                       (phase 1's salt-retry ladder covers that).
-   3. [Cold_resolve] — fresh prepare at a different perturbation salt
-                       base and a 10× tighter scale: an entirely
-                       different degenerate trajectory, discarding all
-                       warm-start state. The only rung before the
-                       oracle that also serves a dense backend (at the
-                       shifted salt base alone).
-   4. [Dense_oracle] — the dense-tableau backend as an independent
-                       oracle, gated by LP size (its tableau is m×n
-                       dense where the revised solver is O(nnz)).
-
-   Rungs 2-4 swap the state that produced the accepted result into
-   [t.backend] (retiring the old state's work counters), so subsequent
-   objectives on this model start from the healthier state instead of
-   re-climbing the ladder. *)
-
+(* The certificate side of the rescue ladder: each rung's solution must
+   certify, and a re-prepared winner is swapped into [t.backend] so later
+   objectives start from the healthier state (the dense oracle leaves a
+   dense backend, perhaps re-salted by the cold rung, in place). *)
 let rescue t direction objective (f0 : Certificate.failure) =
   Mapqn_obs.Metrics.inc m_rescues;
-  let reoptimize () = backend_optimize t direction objective in
-  (* Run one rung: [solve ()] produces an outcome; a passing certificate
-     on an optimal solution records the rung's rescue cause and returns
-     the solution. [install] (for rungs that prepared a replacement
-     state) runs only once the certificate has passed, so a failing
-     rung leaves [t.backend] untouched. *)
-  let attempt rung ?install solve =
-    match solve () with
+  let certified backend =
+    match backend_optimize t backend direction objective with
     | Simplex.Optimal s -> (
       match certify_check t direction objective s with
-      | Ok () ->
-        Option.iter (fun f -> f ()) install;
-        Health.observe_rescue rung;
-        Some s
+      | Ok () -> Some s
       | Error _ -> None)
     | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit -> None
   in
-  let rung_refine () =
-    match t.backend with
-    | B_dense _ -> None
-    | B_revised r ->
-      attempt Health.Refined (fun () ->
-          Revised.force_refactor r;
-          reoptimize ())
-  in
-  let rung_reprepare rung ~pert_scale ~salt () =
-    match t.backend with
-    | B_dense _ when rung = Health.Cold_resolve -> (
-      (* The dense tableau has no perturbation scale to tighten, but a
-         shifted salt base gives it an entirely different degenerate
-         trajectory too. *)
-      match Simplex.prepare ?max_iter:t.max_iter ~salt t.model with
-      | Error _ -> None
-      | Ok p ->
-        attempt rung
-          ~install:(fun () -> swap_backend t (B_dense p))
-          (fun () -> Simplex.optimize ?max_iter:t.max_iter p direction objective))
-    | B_dense _ -> None
-    | B_revised _ -> (
-      match
-        Revised.prepare ?max_iter:t.max_iter ~pert_scale ~salt t.model
-      with
-      | Error _ -> None
-      | Ok p ->
-        attempt rung
-          ~install:(fun () -> swap_backend t (B_revised p))
-          (fun () ->
-            Revised.optimize ?max_iter:t.max_iter p direction objective))
-  in
-  let rung_dense () =
-    let nvars, nrows = (Lp.num_vars t.model, Lp.num_rows t.model) in
-    if nvars * nrows > dense_rescue_cells then None
-    else
-      match Simplex.prepare ?max_iter:t.max_iter t.model with
-      | Error _ -> None
-      | Ok p ->
-        attempt Health.Dense_oracle
-          ~install:(fun () ->
-            match t.backend with
-            | B_dense _ -> ()
-            | B_revised _ -> swap_backend t (B_dense p))
-          (fun () -> Simplex.optimize ?max_iter:t.max_iter p direction objective)
-  in
-  let scale = match t.backend with
-    | B_revised r -> Revised.pert_scale r
-    | B_dense _ -> 1.
-  in
-  let rungs =
-    [
-      (1, rung_refine);
-      (2, rung_reprepare Health.Reperturbed ~pert_scale:(scale *. 0.01) ~salt:0);
-      (3, rung_reprepare Health.Cold_resolve ~pert_scale:(scale *. 0.1) ~salt:7);
-      (4, rung_dense);
-    ]
-  in
   let rec climb = function
     | [] ->
-      if t.rescue.accept_uncertified then begin
+      if t.accept_uncertified then begin
         Health.observe_rescue Health.Uncertified;
         None
       end
@@ -524,12 +439,24 @@ let rescue t direction objective (f0 : Certificate.failure) =
         Mapqn_obs.Metrics.inc m_certificate_failures;
         raise (Solver_error (Certificate_failure f0))
       end
-    | (depth, rung) :: rest ->
-      if depth > t.rescue.max_rung then climb []
-      else (
-        match rung () with Some s -> Some s | None -> climb rest)
+    | (cause, rung) :: rest -> (
+      let candidate =
+        match (rung, t.backend) with
+        | Refine, B_revised r ->
+          Revised.force_refactor r;
+          Some t.backend
+        | _ -> reprepare ?max_iter:t.max_iter t.model (Some t.backend) rung
+      in
+      match Option.map (fun b -> (b, certified b)) candidate with
+      | None | Some (_, None) -> climb rest
+      | Some (backend, Some s) ->
+        (match (rung, t.backend) with
+        | Refine, _ | Dense_tableau, B_dense _ -> ()
+        | _ -> swap_backend t backend);
+        Health.observe_rescue cause;
+        Some s)
   in
-  Mapqn_obs.Span.with_ "bounds.rescue" (fun () -> climb rungs)
+  Mapqn_obs.Span.with_ "bounds.rescue" (fun () -> climb ladder)
 
 let optimize t direction objective =
   Mapqn_obs.Metrics.inc m_objectives;
@@ -537,7 +464,7 @@ let optimize t direction objective =
   let objective =
     List.map (fun (i, c) -> (Lp.var_of_int t.model i, c)) objective
   in
-  match backend_optimize t direction objective with
+  match backend_optimize t t.backend direction objective with
   | Simplex.Optimal s -> (
     match certify_check t direction objective s with
     | Ok () -> s.Simplex.objective
@@ -561,7 +488,7 @@ let sensitivity ?(top = 10) t direction objective =
   let objective =
     List.map (fun (i, c) -> (Lp.var_of_int t.model i, c)) objective
   in
-  match backend_optimize t direction objective with
+  match backend_optimize t t.backend direction objective with
   | Simplex.Optimal s ->
     let names =
       Array.of_list (List.map (fun (_, _, _, name) -> name) (Lp.rows t.model))
@@ -723,7 +650,7 @@ let eval t metrics =
   Mapqn_obs.Metrics.inc m_evals;
   Mapqn_obs.Span.with_ "bounds.eval" @@ fun () ->
   Health.begin_solve ();
-  let before = work_snapshot t in
+  let before = work t in
   let t0 = Mapqn_obs.Span.now () in
   let memo = Hashtbl.create 8 in
   let rec cached m =
@@ -810,50 +737,6 @@ let translate_seeds ~from_ms ~from_model ~to_ms ~to_model seeds =
           (Hashtbl.find_opt row_index (Lp.row_name from_model r)))
     seeds
 
-(* Basic columns for the part of the model the previous basis says
-   nothing about — the levels above the old population. Each new balance
-   row bal[k,n,h] gets its own v_k(n,h) (the row's diagonal-dominant OUT
-   term), and the moved boundary rows (w, z fixed to zero at the new top
-   level) get the variable those rows constrain. Rows this still leaves
-   uncovered fall back to slacks or artificials inside
-   [Revised.prepare_seeded]. *)
-let extension_seeds ~from_n to_ms =
-  let n' = Ms.population to_ms in
-  let m = Ms.num_stations to_ms in
-  let seeds = ref [] in
-  if n' > from_n then begin
-    for n = n' downto from_n + 1 do
-      for k = m - 1 downto 0 do
-        Ms.iter_phases to_ms (fun h ->
-            seeds :=
-              Revised.Seed_var (Ms.v to_ms ~station:k ~level:n ~phase:h)
-              :: !seeds;
-            if Ms.has_level2 to_ms && n < n' then
-              (* One z per new zsum[k,n,h] row. *)
-              let counted = (k + 1) mod m in
-              seeds :=
-                Revised.Seed_var
-                  (Ms.z to_ms ~counted ~station:k ~level:n ~phase:h)
-                :: !seeds)
-      done
-    done;
-    for j = 0 to m - 1 do
-      for k = 0 to m - 1 do
-        if j <> k then
-          Ms.iter_phases to_ms (fun h ->
-              seeds :=
-                Revised.Seed_var (Ms.w to_ms ~busy:j ~station:k ~level:n' ~phase:h)
-                :: !seeds;
-              if Ms.has_level2 to_ms then
-                seeds :=
-                  Revised.Seed_var
-                    (Ms.z to_ms ~counted:j ~station:k ~level:n' ~phase:h)
-                  :: !seeds)
-      done
-    done
-  end;
-  !seeds
-
 module Sweep = struct
   type bounds = t
 
@@ -884,61 +767,41 @@ module Sweep = struct
     sconfig : Constraints.config;
     max_iter : int option;
     warm_start : bool;
-    srescue : rescue_policy;
+    accept_uncertified : bool;
     mutable inc : Constraints.Incremental.t option;
-    mutable prev : (int * bounds) option;
+    mutable prev : bounds option;
     mutable steps : int;
     mutable warm : int;
     mutable cold : int;
-    (* Solver-state totals of populations already retired from [prev]. *)
-    mutable done_refactors : int;
-    mutable done_pivots : int;
   }
 
   let create ?(solver = default_solver) ?(config = Constraints.standard)
-      ?max_iter ?(warm_start = true) ?(rescue = default_rescue) network_of =
+      ?max_iter ?(warm_start = true) ?(accept_uncertified = false) network_of =
     {
       network_of;
       solver;
       sconfig = config;
       max_iter;
       warm_start;
-      srescue = rescue;
+      accept_uncertified;
       inc = None;
       prev = None;
       steps = 0;
       warm = 0;
       cold = 0;
-      done_refactors = 0;
-      done_pivots = 0;
     }
 
   let solver s = s.solver
   let config s = s.sconfig
   let warm_start s = s.warm_start
 
-  (* Counts of one population's bounds state, including any backends its
-     rescue ladder retired along the way. *)
-  let backend_counts b =
-    let w = work_snapshot b in
-    (int_of_float w.ws_refactors, int_of_float w.ws_pivots)
-
-  let retire s =
-    match s.prev with
-    | Some (_, b) ->
-      let r, p = backend_counts b in
-      s.done_refactors <- s.done_refactors + r;
-      s.done_pivots <- s.done_pivots + p
-    | None -> ()
+  (* Work of the whole sweep: each step's handle carries its
+     predecessor's total as retired work. *)
+  let sweep_work s = match s.prev with Some b -> work b | None -> no_work
 
   let step s population =
     Mapqn_obs.Span.with_ "bounds.sweep.step" @@ fun () ->
     Health.begin_solve ();
-    (* The step's backend does not exist yet (prepare creates it), so
-       the "before" work is zero: the record's deltas are the fresh
-       backend's whole life up to the end of the step, which is exactly
-       the step's own work — prepare, restoration and solves. *)
-    let before = zero_work in
     let t0 = Mapqn_obs.Span.now () in
     let network = s.network_of population in
     if Mapqn_model.Network.has_delay network then
@@ -955,90 +818,42 @@ module Sweep = struct
           (ms, model)
       in
       let seeds =
-        if not s.warm_start then None
-        else
-          match (s.prev, s.solver) with
-          | Some (n_prev, ({ backend = B_revised r; _ } as b_prev)), Revised ->
-            let translated =
-              translate_seeds ~from_ms:b_prev.ms ~from_model:b_prev.model
-                ~to_ms:ms ~to_model:model (Revised.basis_seeds r)
-            in
-            ignore (extension_seeds ~from_n:n_prev ms);
-            Some translated
-          | _ -> None
+        match (s.prev, s.solver) with
+        | Some ({ backend = B_revised r; _ } as b_prev), Revised
+          when s.warm_start ->
+          Some
+            (translate_seeds ~from_ms:b_prev.ms ~from_model:b_prev.model
+               ~to_ms:ms ~to_model:model (Revised.basis_seeds r))
+        | _ -> None
       in
-      let warmed = ref false in
-      let warm () =
-        warmed := true;
-        s.warm <- s.warm + 1;
-        Mapqn_obs.Metrics.inc m_warm_steps
-      and cold () =
-        s.cold <- s.cold + 1;
-        Mapqn_obs.Metrics.inc m_cold_steps
-      in
-      let lift = function
-        | Ok backend ->
-          retire s;
-          let b =
-            {
-              network;
-              ms;
-              model;
-              backend;
-              config = s.sconfig;
-              max_iter = s.max_iter;
-              rescue = s.srescue;
-              retired_pivots = 0;
-              retired_refactors = 0;
-              retired_stability = 0;
-              retired_growth = 0;
-              retired_drift = 0;
-              retired_backstop = 0;
-            }
-          in
-          s.steps <- s.steps + 1;
-          Mapqn_obs.Metrics.inc m_steps;
-          s.prev <- Some (population, b);
-          let duration = Mapqn_obs.Span.now () -. t0 in
-          Mapqn_obs.Metrics.observe m_step_seconds duration;
-          if Ledger.is_enabled () then
-            Ledger.record ~event:"sweep_step"
-              (ledger_fields b ~duration ~before
-              @ [ ("warm", Json.Bool !warmed) ]);
-          Ok b
-        | Error Simplex.Infeasible_phase1 -> Error Infeasible_phase1
-        | Error (Simplex.Iteration_limit_phase1 k) -> Error (Iteration_limit k)
-      in
-      Mapqn_obs.Span.with_ "bounds.prepare" @@ fun () ->
-      (* A failed prepare (phase-1 infeasibility or iteration cap) is
-         numerics, not modeling — climb the prepare rescue ladder before
-         reporting it. A rescued backend is a cold start. *)
-      let rescue_or e =
-        match rescue_prepare ~policy:s.srescue ?max_iter:s.max_iter model e with
-        | Ok b ->
-          cold ();
-          lift (Ok b)
-        | Error e -> lift (Error e)
-      in
-      match (s.solver, seeds) with
-      | Revised, Some seeds -> (
-        match Revised.prepare_seeded ?max_iter:s.max_iter ~seeds model with
-        | Ok (p, seeded) ->
-          if seeded then warm () else cold ();
-          lift (Ok (B_revised p))
-        | Error e -> rescue_or e)
-      | Revised, None -> (
-        match Revised.prepare ?max_iter:s.max_iter model with
-        | Ok p ->
-          cold ();
-          lift (Ok (B_revised p))
-        | Error e -> rescue_or e)
-      | Dense, _ ->
-        cold ();
-        lift
-          (Result.map
-             (fun p -> B_dense p)
-             (Simplex.prepare ?max_iter:s.max_iter model))
+      (* The new handle inherits the sweep's work so far as retired work,
+         so the step record's delta is the step's own: phase 1 and any
+         seeded restoration. *)
+      let before = sweep_work s in
+      match
+        prepare ~solver:s.solver ~config:s.sconfig ?max_iter:s.max_iter
+          ~accept_uncertified:s.accept_uncertified ?seeds ~retired:before
+          network ms model
+      with
+      | Error e -> Error e
+      | Ok (b, seeded) ->
+        if seeded then begin
+          s.warm <- s.warm + 1;
+          Mapqn_obs.Metrics.inc m_warm_steps
+        end
+        else begin
+          s.cold <- s.cold + 1;
+          Mapqn_obs.Metrics.inc m_cold_steps
+        end;
+        s.steps <- s.steps + 1;
+        Mapqn_obs.Metrics.inc m_steps;
+        s.prev <- Some b;
+        let duration = Mapqn_obs.Span.now () -. t0 in
+        Mapqn_obs.Metrics.observe m_step_seconds duration;
+        if Ledger.is_enabled () then
+          Ledger.record ~event:"sweep_step"
+            (ledger_fields b ~duration ~before @ [ ("warm", Json.Bool seeded) ]);
+        Ok b
     end
 
   let step_exn s population =
@@ -1053,17 +868,13 @@ module Sweep = struct
   }
 
   let stats s =
-    let cur_r, cur_p =
-      match s.prev with
-      | Some (_, b) -> backend_counts b
-      | None -> (0, 0)
-    in
+    let w = sweep_work s in
     {
       steps = s.steps;
       warm = s.warm;
       cold = s.cold;
-      refactorizations = s.done_refactors + cur_r;
-      pivots = s.done_pivots + cur_p;
+      refactorizations = w.Revised.refactorizations;
+      pivots = w.Revised.pivots;
     }
 
   let run ?progress ?seed ?skip ?(label = Printf.sprintf "N=%d") s ~populations

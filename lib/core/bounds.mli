@@ -69,49 +69,42 @@ exception Solver_error of error
     that agree within solver tolerances. *)
 type solver = Dense | Revised
 
-(** Policy for the certificate {b rescue ladder}. When a solve's
-    optimality certificate fails, the evaluation escalates through
-    increasingly drastic retries — refine (rebuild the factorization and
-    re-optimize), reperturb (fresh prepare at a 100× tighter
-    anti-degeneracy perturbation), cold re-solve (fresh perturbation
-    draw, warm-start state discarded), dense-tableau oracle — and the
-    first rung whose result certifies wins, recorded as a typed
-    {!Mapqn_obs.Health.rescue} outcome in the run ledger.
-
-    The same ladder (minus the refine rung — there is no optimal basis
-    yet) also rescues a {e failed prepare}: phase 1 reporting the LP
-    infeasible or hitting its iteration cap is always numerics on these
-    models, since the exact aggregated solution is feasible by
-    construction.
-
-    [max_rung] caps the ladder (0 disables it: certificate failures
-    raise immediately, the pre-ladder behaviour). [accept_uncertified]
-    (default [false]) makes an exhausted ladder return the original
-    near-optimal objective and record {!Mapqn_obs.Health.Uncertified}
-    instead of raising [Certificate_failure] — for harvest/diagnostic
-    runs that must observe failures without dying on them. *)
-type rescue_policy = { max_rung : int; accept_uncertified : bool }
-
-val default_rescue : rescue_policy
-(** [{ max_rung = 4; accept_uncertified = false }] — the full ladder,
-    failures after rung 4 raise. *)
-
 val create :
   ?solver:solver ->
   ?config:Constraints.config ->
   ?max_iter:int ->
-  ?rescue:rescue_policy ->
+  ?accept_uncertified:bool ->
   Mapqn_model.Network.t ->
   (t, error) result
 (** Build the LP and run phase 1. Default config is
-    {!Constraints.standard}, default solver {!Revised}, default rescue
-    policy {!default_rescue}. *)
+    {!Constraints.standard}, default solver {!Revised}.
+
+    {b The rescue ladder.} Every reported optimum must pass its
+    optimality certificate. When one fails, the solve climbs a ladder
+    of increasingly drastic retries: refine (rebuild the factorization
+    and re-optimize), reperturb (fresh prepare at a 100× tighter
+    anti-degeneracy perturbation), cold re-solve (10× tighter, with a
+    longer perturbation-retry budget, warm-start state discarded; the
+    only rung that also serves a {!Dense} backend, which it re-prepares
+    on a shifted perturbation draw) and the dense-tableau oracle
+    (size-gated). The first rung whose result certifies wins and
+    is recorded as a typed {!Mapqn_obs.Health.rescue} outcome in the run
+    ledger. A {!Revised} phase 1 that reports these always-feasible LPs
+    infeasible, or hits its iteration cap, climbs the same ladder
+    without the refine rung and returns its original error when the
+    ladder is exhausted.
+
+    An exhausted certificate ladder raises [Certificate_failure]. With
+    [accept_uncertified] (default [false]) it instead keeps the original
+    near-optimal objective and records {!Mapqn_obs.Health.Uncertified},
+    for harvest and diagnostic runs that must observe failures without
+    dying on them. *)
 
 val create_exn :
   ?solver:solver ->
   ?config:Constraints.config ->
   ?max_iter:int ->
-  ?rescue:rescue_policy ->
+  ?accept_uncertified:bool ->
   Mapqn_model.Network.t ->
   t
 (** Like {!create}; raises {!Solver_error}. *)
@@ -227,7 +220,7 @@ module Sweep : sig
     ?config:Constraints.config ->
     ?max_iter:int ->
     ?warm_start:bool ->
-    ?rescue:rescue_policy ->
+    ?accept_uncertified:bool ->
     (int -> Mapqn_model.Network.t) ->
     t
   (** [create network_of]: an engine for the family
@@ -235,9 +228,9 @@ module Sweep : sig
       differ only in population (same stations and routing — enforced by
       the constraint builder). [warm_start] (default [true]) is the
       opt-out flag: [false] prepares every population cold, which is the
-      reference behaviour warm results are tested against. [rescue]
-      (default {!default_rescue}) is installed in every stepped bounds
-      instance. *)
+      reference behaviour warm results are tested against.
+      [accept_uncertified] is set on every stepped bounds instance, as
+      the top-level [create] takes it. *)
 
   val step : t -> int -> (bounds, error) result
   (** Prepare the LP for one population, seeded from the previous

@@ -79,13 +79,9 @@ let evaluate_model ?progress options index (model : Random_models.model) =
   let id = model_id index in
   let report f = Option.iter f progress in
   let t0 = Mapqn_obs.Span.now () in
-  let rescue =
-    { Bounds.default_rescue with
-      accept_uncertified = options.accept_uncertified
-    }
-  in
   let sweep =
-    Bounds.Sweep.create ~config:options.config ~rescue (fun population ->
+    Bounds.Sweep.create ~config:options.config
+      ~accept_uncertified:options.accept_uncertified (fun population ->
         Mapqn_model.Network.with_population model.Random_models.network
           population)
   in
@@ -107,16 +103,9 @@ let evaluate_model ?progress options index (model : Random_models.model) =
         let step_rescue = (Health.current ()).Health.rescue in
         let r = Bounds.response_time b in
         let eval_rescue = (Health.current ()).Health.rescue in
-        (match (step_rescue, eval_rescue) with
-        | None, None -> ()
-        | (Some _ as one), None | None, (Some _ as one) ->
-          rescues := (population, Option.get one) :: !rescues
-        | Some a, Some b ->
-          let deeper =
-            if Health.rescue_depth_of a >= Health.rescue_depth_of b then a
-            else b
-          in
-          rescues := (population, deeper) :: !rescues);
+        Option.iter
+          (fun rung -> rescues := (population, rung) :: !rescues)
+          (Health.deeper_rescue step_rescue eval_rescue);
         if population <= options.exact_upto then begin
           let net =
             Mapqn_model.Network.with_population model.Random_models.network

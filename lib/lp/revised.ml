@@ -165,6 +165,31 @@ type t = {
   mutable n_refactor_backstop : int;
 }
 
+type refactor_cause = Stability | Growth | Drift | Backstop
+
+(* Count one triggered reinversion in the instance's own counter and its
+   process-wide mirror; [true], so a trigger test can end in it. *)
+let triggered t cause =
+  (match cause with
+  | Stability ->
+    Metrics.inc m_refactor_stability;
+    t.n_refactor_stability <- t.n_refactor_stability + 1
+  | Growth ->
+    Metrics.inc m_refactor_growth;
+    t.n_refactor_growth <- t.n_refactor_growth + 1
+  | Drift ->
+    Metrics.inc m_refactor_drift;
+    t.n_refactor_drift <- t.n_refactor_drift + 1
+  | Backstop ->
+    Metrics.inc m_refactor_backstop;
+    t.n_refactor_backstop <- t.n_refactor_backstop + 1);
+  true
+
+(* The growth trigger: the eta file outgrew the last factorization. *)
+let eta_outgrown t =
+  float_of_int (Eta_file.nnz t.etas)
+  > t.growth_limit *. float_of_int (t.base_eta_nnz + t.m)
+
 (* w <- B⁻¹ A_j (dense scratch; artificials are identity columns) *)
 let ftran_col t j w =
   Array.fill w 0 t.m 0.;
@@ -457,24 +482,10 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
              [check_interval] pivots), or (d) a large pivot-count
              backstop. *)
           let need_refactor =
-            if t.refactor_forced then begin
-              Metrics.inc m_refactor_stability;
-              t.n_refactor_stability <- t.n_refactor_stability + 1;
-              true
-            end
-            else if t.pivots_since_refactor >= t.pivot_backstop then begin
-              Metrics.inc m_refactor_backstop;
-              t.n_refactor_backstop <- t.n_refactor_backstop + 1;
-              true
-            end
-            else if
-              float_of_int (Eta_file.nnz t.etas)
-              > t.growth_limit *. float_of_int (t.base_eta_nnz + t.m)
-            then begin
-              Metrics.inc m_refactor_growth;
-              t.n_refactor_growth <- t.n_refactor_growth + 1;
-              true
-            end
+            if t.refactor_forced then triggered t Stability
+            else if t.pivots_since_refactor >= t.pivot_backstop then
+              triggered t Backstop
+            else if eta_outgrown t then triggered t Growth
             else if
               t.check_interval > 0
               && t.pivots_since_refactor mod t.check_interval = 0
@@ -490,11 +501,7 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
                 Health.observe_drift !drift;
                 !drift > t.drift_tol
               end
-            then begin
-              Metrics.inc m_refactor_drift;
-              t.n_refactor_drift <- t.n_refactor_drift + 1;
-              true
-            end
+            then triggered t Drift
             else false
           in
           if need_refactor then
@@ -745,87 +752,74 @@ let finalize_phase1 t =
   done;
   Array.blit t.basis 0 t.phase1_basis 0 m
 
-let default_max_iter ~m ~ncols = 50_000 + (50 * (m + ncols))
+(* After phase 1 prices out optimal: pricing off a long eta file can
+   declare optimality with artificial mass still basic (stale duals). A
+   fresh factorization recomputes the duals exactly; resuming phase 1
+   from it is far cheaper than a whole new salt and usually finishes the
+   job. Mass left after that means the trajectory degraded numerically
+   (the exact aggregated solution is always feasible), and a fresh
+   perturbation reshuffles the degenerate ties. *)
+let clear_artificial_mass t ~cost_of ~max_iter ~stall_limit =
+  let mass = ref (artificial_mass t) in
+  let resumes = ref 0 in
+  while !mass > 1e-6 && !resumes < 3 do
+    incr resumes;
+    Log.debug (fun f ->
+        f
+          "phase-1 artificial mass %g at a stale optimum; refactorizing and \
+           resuming (round %d)"
+          !mass !resumes);
+    refactor t;
+    match run_phase t ~cost_of ~max_iter ~stall_limit with
+    | R_optimal, 0 ->
+      (* No pivot even with exact duals: deterministic, so further rounds
+         would replay the same state. *)
+      resumes := 3
+    | R_optimal, _ -> mass := artificial_mass t
+    | (R_limit | R_unbounded), _ -> resumes := 3
+  done;
+  if !mass > 1e-6 then
+    Error (Simplex.Infeasible_phase1, Printf.sprintf "artificial mass %g" !mass)
+  else Ok ()
+
+(* The pivot cap of one phase: [max_iter], by default
+   [50_000 + 50 * (rows + standard-form columns)]. *)
+let iteration_cap max_iter ~m ~ncols =
+  match max_iter with Some k -> k | None -> 50_000 + (50 * (m + ncols))
 
 let prepare_unspanned ?max_iter ?(pert_scale = 1.) ?(salt = 0) model =
   let std = Std_form.build model in
   let m = Std_form.num_rows std in
-  let max_iter =
-    match max_iter with
-    | Some k -> k
-    | None -> default_max_iter ~m ~ncols:std.Std_form.ncols
-  in
+  let max_iter = iteration_cap max_iter ~m ~ncols:std.Std_form.ncols in
   let salt0 = salt in
+  (* One phase 1 on perturbation draw [salt]. Every failure is numerics
+     on these always-feasible LPs, so fresh draws follow up to draw
+     [salt0 + 3]. The draws start at 0 whatever the base. *)
   let rec attempt salt =
     Health.observe_salt salt;
     let t = build_state ~pert_scale std salt in
     let cost_of j = if j >= t.n_struct then 1. else 0. in
     let stall_limit = max 5_000 (20 * m) in
-    let status, _ = run_phase t ~cost_of ~max_iter ~stall_limit in
-    match status with
-    | R_limit ->
-      if salt < salt0 + 3 then begin
-        Metrics.inc m_retries;
-        Log.debug (fun f ->
-            f "phase-1 stall with perturbation salt %d; retrying" salt);
-        attempt (salt + 1)
-      end
-      else Error (Simplex.Iteration_limit_phase1 max_iter)
-    | R_unbounded ->
-      (* Phase 1 minimizes a sum of nonnegative variables — unbounded is
-         impossible in exact arithmetic, so reaching it means the basis
-         degraded numerically.  Retry like a stall. *)
-      if salt < salt0 + 3 then begin
-        Metrics.inc m_retries;
-        Log.debug (fun f ->
-            f "phase-1 numerically degraded with perturbation salt %d; retrying"
-              salt);
-        attempt (salt + 1)
-      end
-      else Error Simplex.Infeasible_phase1
-    | R_optimal ->
-      let mass = ref (artificial_mass t) in
-      (* Pricing off a long eta file can declare optimality with
-         artificial mass still basic (stale duals).  A fresh
-         factorization recomputes the duals exactly; resuming phase 1
-         from it is far cheaper than a whole new salt and usually
-         finishes the job. *)
-      let resumes = ref 0 in
-      while !mass > 1e-6 && !resumes < 3 do
-        incr resumes;
-        Log.debug (fun f ->
-            f
-              "phase-1 artificial mass %g at a stale optimum; refactorizing \
-               and resuming (round %d)"
-              !mass !resumes);
-        refactor t;
-        (match run_phase t ~cost_of ~max_iter ~stall_limit with
-        | R_optimal, 0 ->
-          (* No pivot even with exact duals: deterministic, so further
-             rounds would replay the same state. *)
-          resumes := 3
-        | R_optimal, _ -> mass := artificial_mass t
-        | (R_limit | R_unbounded), _ -> resumes := 3)
-      done;
-      if !mass > 1e-6 then
-        if salt < salt0 + 3 then begin
-          (* Residual artificial mass on these LPs means the trajectory
-             degraded numerically (the exact aggregated solution is always
-             feasible) — a fresh perturbation reshuffles the degenerate
-             ties and usually avoids the bad path. *)
-          Metrics.inc m_retries;
-          Log.debug (fun f ->
-              f
-                "phase-1 artificial mass %g with perturbation salt %d; \
-                 retrying"
-                !mass salt);
-          attempt (salt + 1)
-        end
-        else Error Simplex.Infeasible_phase1
-      else begin
-        finalize_phase1 t;
-        Ok t
-      end
+    let outcome =
+      match run_phase t ~cost_of ~max_iter ~stall_limit with
+      | R_limit, _ -> Error (Simplex.Iteration_limit_phase1 max_iter, "stall")
+      | R_unbounded, _ ->
+        (* Phase 1 minimizes a sum of nonnegative variables — unbounded is
+           impossible in exact arithmetic, so reaching it means the basis
+           degraded numerically. *)
+        Error (Simplex.Infeasible_phase1, "numerically degraded basis")
+      | R_optimal, _ -> clear_artificial_mass t ~cost_of ~max_iter ~stall_limit
+    in
+    match outcome with
+    | Ok () ->
+      finalize_phase1 t;
+      Ok t
+    | Error (_, why) when salt < salt0 + 3 ->
+      Metrics.inc m_retries;
+      Log.debug (fun f ->
+          f "phase 1: %s with perturbation salt %d; retrying" why salt);
+      attempt (salt + 1)
+    | Error (e, _) -> Error e
   in
   attempt 0
 
@@ -864,11 +858,10 @@ let m_restore_pivots =
 
 type seed = Seed_var of int | Seed_slack of int
 
-let basis_seeds ?(phase1 = false) t =
-  let basis = if phase1 then t.phase1_basis else t.basis in
+let basis_seeds t =
   let out = ref [] in
   for i = t.m - 1 downto 0 do
-    let c = basis.(i) in
+    let c = t.basis.(i) in
     if c < t.n_struct then
       match t.std.Std_form.origins.(c) with
       | Std_form.Shifted { var; _ } | Std_form.Negative_part { var } ->
@@ -995,20 +988,8 @@ let restore_feasibility t ~max_pivots =
              [default_growth_limit]; both looser nnz caps and flat pivot
              cadences measured worse. *)
           let need_refactor =
-            if t.refactor_forced then begin
-              Metrics.inc m_refactor_stability;
-              t.n_refactor_stability <- t.n_refactor_stability + 1;
-              true
-            end
-            else if
-              float_of_int (Eta_file.nnz t.etas)
-              > t.growth_limit *. float_of_int (t.base_eta_nnz + t.m)
-            then begin
-              Metrics.inc m_refactor_growth;
-              t.n_refactor_growth <- t.n_refactor_growth + 1;
-              true
-            end
-            else false
+            if t.refactor_forced then triggered t Stability
+            else eta_outgrown t && triggered t Growth
           in
           if need_refactor then begin
             refactor t;
@@ -1025,24 +1006,18 @@ let restore_feasibility t ~max_pivots =
   t.n_pivots <- t.n_pivots + !pivots;
   !ok
 
-let prepare_seeded_unspanned ?max_iter ?pert_scale ~seeds model =
+let prepare_seeded_unspanned ?max_iter ~seeds model =
   let cold ~fallback () =
     if fallback then Metrics.inc m_seeded_fallback;
-    Result.map
-      (fun t -> (t, false))
-      (prepare_unspanned ?max_iter ?pert_scale model)
+    Result.map (fun t -> (t, false)) (prepare_unspanned ?max_iter model)
   in
   if seeds = [] then cold ~fallback:false ()
   else begin
     Metrics.inc m_seeded;
     let std = Std_form.build model in
     let m = Std_form.num_rows std in
-    let max_iter_v =
-      match max_iter with
-      | Some k -> k
-      | None -> default_max_iter ~m ~ncols:std.Std_form.ncols
-    in
-    let t = build_state ?pert_scale std 0 in
+    let max_iter_v = iteration_cap max_iter ~m ~ncols:std.Std_form.ncols in
+    let t = build_state std 0 in
     (* Resolve the seeds to standard-form columns: slacks to the slack of
        the named row, variables to their main column. *)
     let used = Array.make t.n_struct false in
@@ -1130,9 +1105,9 @@ let prepare_seeded_unspanned ?max_iter ?pert_scale ~seeds model =
     end
   end
 
-let prepare_seeded ?max_iter ?pert_scale ~seeds model =
+let prepare_seeded ?max_iter ~seeds model =
   Span.with_ "revised.phase1" (fun () ->
-      prepare_seeded_unspanned ?max_iter ?pert_scale ~seeds model)
+      prepare_seeded_unspanned ?max_iter ~seeds model)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2                                                             *)
@@ -1228,11 +1203,7 @@ let optimize_unspanned ?max_iter t direction objective =
   Metrics.inc m_solves;
   let warm = t.solves > 0 in
   if warm then Metrics.inc m_warm;
-  let max_iter =
-    match max_iter with
-    | Some k -> k
-    | None -> 50_000 + (50 * (t.m + t.n_struct))
-  in
+  let max_iter = iteration_cap max_iter ~m:t.m ~ncols:t.n_struct in
   let sign = match direction with Simplex.Minimize -> 1. | Simplex.Maximize -> -1. in
   let c = Std_form.costs t.std ~sign objective in
   let cost_of j = if j < t.n_struct then c.(j) else 0. in

@@ -43,9 +43,10 @@ val prepare :
     perturbation globally, on top of the built-in per-row scaling (row
     coefficient norm × a sqrt(rows) size factor) — the certificate
     rescue ladder re-prepares at tighter scales. [salt] (default [0])
-    is the base of the perturbation-retry ladder: a nonzero base draws
-    an entirely different perturbation, so a cold re-solve explores a
-    genuinely different degenerate trajectory. *)
+    bounds the perturbation-retry ladder: a failed phase 1 retries with
+    fresh perturbation draws up to draw [salt + 3]. The draws start at
+    0 whatever the base, so a larger base buys more retries rather than
+    a different first trajectory. *)
 
 val pert_scale : t -> float
 (** The [pert_scale] this state was prepared with. *)
@@ -79,19 +80,15 @@ val reset : t -> unit
     the slack of a model row (by row index in the new model). *)
 type seed = Seed_var of int | Seed_slack of int
 
-val basis_seeds : ?phase1:bool -> t -> seed list
+val basis_seeds : t -> seed list
 (** The current basis as seeds in this model's own terms (variable
     indices and row indices of the model [t] was prepared for).
-    Artificial columns are omitted. [~phase1:true] reads the feasible
-    basis recorded at the end of phase 1 instead of the current one.
-    (Measured on the Figure-4 sweep: the default — the optimum of the
-    last-priced objective — seeds the next population reliably, while
-    the phase-1 vertex tends not to take and falls back cold; it is
-    kept for experimentation.) *)
+    Artificial columns are omitted. The optimum of the last-priced
+    objective seeds the next population reliably; the phase-1 vertex
+    measured worse (it tends not to take and falls back cold). *)
 
 val prepare_seeded :
   ?max_iter:int ->
-  ?pert_scale:float ->
   seeds:seed list ->
   Lp_model.t ->
   (t * bool, Simplex.prepare_error) result

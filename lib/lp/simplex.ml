@@ -476,26 +476,39 @@ let prepare_unspanned ?max_iter ?(salt = 0) model =
            is NOT linearly dependent this relaxes the feasible region and
            lets phase 2 report optima outside the true polytope. Pivot in
            the structural column with the largest entry; the pivot is
-           (near-)degenerate, so the primal point barely moves. Rows with
-           no usable entry are genuinely dependent (B⁻¹-transformed row
-           vanished): implied by the other rows, so their artificial —
-           which only absorbs the perturbation's inconsistency — is
-           harmless and stays. *)
+           (near-)degenerate, so the primal point barely moves.
+
+           A row whose structural entries all sit below 1e-6 of its scale
+           (its largest entry anywhere in the tableau, the B⁻¹ part
+           included) is dependent: implied by the other rows, so its
+           artificial, which only absorbs the perturbation's
+           inconsistency, stays. Its structural entries are then roundoff
+           of the elimination, amplified by the basis's conditioning (up
+           to 1e-7 on near-tied rates), and left in place they act in
+           phase 2 as spurious constraints or relaxations of that
+           roundoff. They are zeroed, so phase 2 never prices or
+           ratio-tests against the row. Pivoting on them instead ruins
+           the tableau: driving out the 1e-10 entries of (48582, 2, 7)
+           certifies a response-time interval that misses the exact value
+           by 1.3%. *)
         let scratch = Array.make (n_total + 1) 0. in
         for i = 0 to m - 1 do
           if artificial.(t.basis.(i)) then begin
-            let best = ref (-1) and best_mag = ref 1e-6 in
+            let row = t.a.(i) in
+            let scale = ref 0. in
+            for j = 0 to n_total - 1 do
+              scale := Float.max !scale (Float.abs row.(j))
+            done;
+            let best = ref (-1) and best_mag = ref (1e-6 *. !scale) in
             for j = 0 to std.Std_form.ncols - 1 do
-              let mag = Float.abs t.a.(i).(j) in
+              let mag = Float.abs row.(j) in
               if mag > !best_mag then begin
                 best := j;
                 best_mag := mag
               end
             done;
-            if
-              !best >= 0
-              && Float.abs t.a.(i).(n_total) /. !best_mag <= 1e-6
-            then begin
+            if !best < 0 then Array.fill row 0 std.Std_form.ncols 0.
+            else if Float.abs row.(n_total) /. !best_mag <= 1e-6 then begin
               (* Zero the row's right-hand side first: the artificial sits
                  at zero level in the true problem, and its residual
                  tableau value is perturbation noise. Zeroing it makes the

@@ -27,6 +27,11 @@ let rescue_depth_of = function
   | Dense_oracle -> 4
   | Uncertified -> 5
 
+let deeper_rescue a b =
+  match (a, b) with
+  | Some x, Some y -> if rescue_depth_of x >= rescue_depth_of y then a else b
+  | None, r | r, None -> r
+
 let rescue_to_string = function
   | Refined -> "refined"
   | Reperturbed -> "reperturbed"
@@ -251,10 +256,7 @@ let observe_rescue r =
     | Cold_resolve -> c_rescue_cold
     | Dense_oracle -> c_rescue_dense
     | Uncertified -> c_rescue_uncertified);
-  update (fun c ->
-      match c.rescue with
-      | Some prev when rescue_depth_of prev >= rescue_depth_of r -> c
-      | _ -> { c with rescue = Some r })
+  update (fun c -> { c with rescue = deeper_rescue c.rescue (Some r) })
 
 let observe_refinement ~residual =
   Metrics.set g_refine_residual residual;

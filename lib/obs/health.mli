@@ -34,6 +34,11 @@ type rescue = Refined | Reperturbed | Cold_resolve | Dense_oracle | Uncertified
 val rescue_depth_of : rescue -> int
 (** Ladder depth, 1 ([Refined]) to 5 ([Uncertified]). *)
 
+val deeper_rescue : rescue option -> rescue option -> rescue option
+(** The deeper of two rescue outcomes by {!rescue_depth_of}, the first on
+    a tie; [None] only when both are. A solve's prepare-time and
+    certificate-time rescues attribute to it through this rule. *)
+
 val rescue_to_string : rescue -> string
 val rescue_of_string : string -> rescue option
 

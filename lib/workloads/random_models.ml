@@ -104,3 +104,23 @@ let generate ?(spec = default_spec) rng =
 let generate_many ?spec ~seed count =
   let rng = Rng.create ~seed in
   List.init count (fun _ -> generate ?spec rng)
+
+let near_degenerate ~seed ~tie_exp population =
+  let rng = Rng.create ~seed in
+  let eps = if tie_exp = 0 then 0. else 10. ** float_of_int (-tie_exp) in
+  let rate = Dist.uniform rng ~lo:0.5 ~hi:2. in
+  let scv = Dist.uniform rng ~lo:1.5 ~hi:4. in
+  let gamma2 = Dist.uniform rng ~lo:0. ~hi:0.9 in
+  let stations =
+    [|
+      Mapqn_model.Station.exp ~rate ();
+      Mapqn_model.Station.exp ~rate:(rate *. (1. +. eps)) ();
+      (* The MAP station's mean ties to the exponential rate, so all
+         three demands coincide (uniform routing gives equal visits). *)
+      Mapqn_model.Station.map
+        (Mapqn_map.Fit.map2_exn ~mean:(1. /. rate) ~scv ~gamma2 ());
+    |]
+  in
+  let third = 1. /. 3. in
+  let routing = Array.make 3 [| third; third; third |] in
+  Mapqn_model.Network.make_exn ~stations ~routing ~population

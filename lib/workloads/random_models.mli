@@ -31,3 +31,11 @@ val generate : ?spec:spec -> Mapqn_prng.Rng.t -> model
     balanced-means fit when the drawn third moment is H2-infeasible). *)
 
 val generate_many : ?spec:spec -> seed:int -> int -> model list
+
+val near_degenerate : seed:int -> tie_exp:int -> int -> Mapqn_model.Network.t
+(** [near_degenerate ~seed ~tie_exp population]: a model of the species
+    the hard-model corpus pins. Two exponential queues and a MAP(2)
+    queue fitted to the same mean, under uniform routing, so all three
+    demands tie; the second queue's rate is split from the first's by
+    [10^-tie_exp] ([0] is an exact tie). The seed draws the rate in
+    [0.5, 2], the MAP's SCV in [1.5, 4] and its γ₂ in [0, 0.9]. *)

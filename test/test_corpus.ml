@@ -15,7 +15,6 @@
    that the revised and dense solvers agree on. *)
 
 module Network = Mapqn_model.Network
-module Station = Mapqn_model.Station
 module Random_models = Mapqn_workloads.Random_models
 module Bounds = Mapqn_core.Bounds
 module Constraints = Mapqn_core.Constraints
@@ -74,14 +73,7 @@ let test_corpus_certifies () =
                  pre-refinement residual is already far below
                  tolerance. *)
               let h = Health.current () in
-              let rescue =
-                match (step_rescue, h.Health.rescue) with
-                | None, r | r, None -> r
-                | (Some a as ra), (Some b as rb) ->
-                  if Health.rescue_depth_of a >= Health.rescue_depth_of b then
-                    ra
-                  else rb
-              in
+              let rescue = Health.deeper_rescue step_rescue h.Health.rescue in
               let cause =
                 match rescue with
                 | Some rung -> Health.rescue_to_string rung
@@ -96,9 +88,119 @@ let test_corpus_certifies () =
           end)
         grid)
     (Lazy.force corpus_models);
-  Hashtbl.iter
-    (fun cause n -> Printf.printf "corpus rescue cause: %s x%d\n%!" cause n)
-    causes
+  (* What fixed each historical failure is part of the solver's
+     trajectory: a change that moves it updates these counts and says
+     why. *)
+  Alcotest.(check (list (pair string int)))
+    "corpus rescue causes"
+    [ ("adaptive-perturbation", 98); ("cold_resolve", 1); ("reperturbed", 12) ]
+    (List.sort compare (List.of_seq (Hashtbl.to_seq causes)))
+
+(* ---------------- work accounting across a backend swap ---------------- *)
+
+(* A rescue swaps a fresh backend into the bounds handle mid-life; the
+   ledger's per-record work deltas must stay nonnegative across the swap
+   and add up to the sweep's own totals. The three models cover the
+   three ways a backend is replaced: a cold re-solve and a reperturb
+   rescue of a failed certificate, and a rescued prepare. The expected
+   rung is asserted so a trajectory change that stops exercising the
+   swap shows up here instead of silently weakening the test. *)
+let swap_models =
+  [
+    ("model-05828", Health.Cold_resolve);
+    ("model-00748", Health.Reperturbed);
+    ("model-00700", Health.Reperturbed);
+  ]
+
+let test_work_accounting_across_swaps () =
+  let models = Lazy.force corpus_models in
+  (* This test owns the process ledger while it runs; a sink that was
+     already live (the corpus CI ledger) is closed and reopened after. *)
+  let previous = Ledger.path () in
+  Ledger.disable ();
+  let path = Filename.temp_file "mapqn-work" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Ledger.disable ();
+      Sys.remove path;
+      Option.iter (fun path -> Ledger.enable_exn ~path ()) previous)
+  @@ fun () ->
+  List.iter
+    (fun (id, rung) ->
+      let e, model =
+        match List.find_opt (fun (e, _) -> e.id = id) models with
+        | Some em -> em
+        | None -> Alcotest.failf "%s is not in the corpus" id
+      in
+      Ledger.disable ();
+      (let oc = open_out path in
+       close_out oc);
+      Ledger.enable_exn ~path ();
+      let sweep =
+        Bounds.Sweep.create ~config:Constraints.standard (fun population ->
+            Network.with_population model.Random_models.network population)
+      in
+      List.iter
+        (fun population ->
+          if population <= e.fail_population then
+            ignore
+              (Bounds.response_time (Bounds.Sweep.step_exn sweep population)
+                : Bounds.interval))
+        grid;
+      Ledger.disable ();
+      let records = Ledger.load path in
+      let num r name =
+        match Option.bind (Json.member name r) Json.get_float with
+        | Some v -> v
+        | None -> Alcotest.failf "%s: record without %s" id name
+      in
+      let pivots = ref 0. and refactors = ref 0. and rescued = ref false in
+      List.iter
+        (fun r ->
+          let p = num r "pivots" and f = num r "refactorizations" in
+          if p < 0. || f < 0. then
+            Alcotest.failf "%s N=%d %s: negative work delta (%g pivots, %g \
+                            refactorizations)"
+              id (Ledger.population r) (Ledger.event r) p f;
+          let causes =
+            match Json.member "refactor_causes" r with
+            | Some causes -> causes
+            | None -> Alcotest.failf "%s: record without refactor_causes" id
+          in
+          (* Each triggered reinversion is also counted in the total. *)
+          let attributed =
+            List.fold_left
+              (fun sum cause ->
+                let v = num causes cause in
+                if v < 0. then
+                  Alcotest.failf "%s N=%d %s: negative %s refactor delta" id
+                    (Ledger.population r) (Ledger.event r) cause;
+                sum +. v)
+              0.
+              [ "stability"; "growth"; "drift"; "backstop" ]
+          in
+          if attributed > f then
+            Alcotest.failf "%s N=%d %s: %g refactorizations by cause of %g" id
+              (Ledger.population r) (Ledger.event r) attributed f;
+          (match
+             Option.bind (Json.member "health" r) (fun h ->
+                 Option.bind (Json.member "rescue" h) Json.get_string)
+           with
+          | Some s when Health.rescue_of_string s = Some rung -> rescued := true
+          | _ -> ());
+          pivots := !pivots +. p;
+          refactors := !refactors +. f)
+        records;
+      if not !rescued then
+        Alcotest.failf "%s: no record shows its %s rescue" id
+          (Health.rescue_to_string rung);
+      let st = Bounds.Sweep.stats sweep in
+      Alcotest.(check int)
+        (id ^ " pivots") st.Bounds.Sweep.pivots (int_of_float !pivots);
+      Alcotest.(check int)
+        (id ^ " refactorizations") st.Bounds.Sweep.refactorizations
+        (int_of_float !refactors))
+    swap_models
 
 (* ---------------- exact-CTMC containment ---------------- *)
 
@@ -148,23 +250,7 @@ let arb_degenerate =
   QCheck.(triple (int_range 0 99_999) (int_range 1 3) (int_range 0 12))
 
 let degenerate_network (seed, population, tie_exp) =
-  let rng = Mapqn_prng.Rng.create ~seed in
-  let eps = if tie_exp = 0 then 0. else 10. ** float_of_int (-tie_exp) in
-  let rate = Mapqn_prng.Dist.uniform rng ~lo:0.5 ~hi:2. in
-  let scv = Mapqn_prng.Dist.uniform rng ~lo:1.5 ~hi:4. in
-  let gamma2 = Mapqn_prng.Dist.uniform rng ~lo:0. ~hi:0.9 in
-  let stations =
-    [|
-      Station.exp ~rate ();
-      Station.exp ~rate:(rate *. (1. +. eps)) ();
-      (* The MAP station's mean ties to the exponential rate, so all
-         three demands coincide (uniform routing gives equal visits). *)
-      Station.map (Mapqn_map.Fit.map2_exn ~mean:(1. /. rate) ~scv ~gamma2 ());
-    |]
-  in
-  let third = 1. /. 3. in
-  let routing = Array.make 3 [| third; third; third |] in
-  Network.make_exn ~stations ~routing ~population
+  Random_models.near_degenerate ~seed ~tie_exp population
 
 let close ~tol a b = Float.abs (a -. b) <= tol *. Float.max 1. (Float.abs a)
 
@@ -209,13 +295,23 @@ let pinned =
         (Printf.sprintf "pinned draw (%d, %d, %d)" seed population tie_exp)
         `Quick
         (fun () -> ignore (revised_matches_dense params : bool)))
-    [ (41215, 2, 6); (50686, 2, 6); (1670, 2, 6); (69325, 2, 7); (16609, 2, 6) ]
+    [
+      (41215, 2, 6);
+      (50686, 2, 6);
+      (1670, 2, 6);
+      (69325, 2, 7);
+      (16609, 2, 6);
+      (22331, 2, 7);
+      (89355, 2, 7);
+    ]
 
 let () =
   Alcotest.run "corpus"
     [
       ( "hard-models",
         [
+          Alcotest.test_case "work deltas add up across backend swaps" `Slow
+            test_work_accounting_across_swaps;
           Alcotest.test_case "every corpus model certifies" `Slow
             test_corpus_certifies;
           Alcotest.test_case "exact CTMC within rescued bounds" `Slow
