@@ -276,22 +276,28 @@ let refactor t =
 (* Pricing and ratio test                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The columns pricing may enter. *)
+let priceable t j = t.allowed.(j) && not t.in_basis.(j)
+
 (* Entering column by reduced cost d_j = c_j − y·A_j, priced out of the
-   sparse columns. Dantzig rule (most negative) normally; under [bland],
-   the first eligible column — the termination backstop after a stall. *)
-let price t y ~cost_of ~bland =
+   sparse columns: [dots] (length n_struct) receives y·A_j of every
+   priceable structural column first, unboxed. Dantzig rule (most
+   negative) normally; under [bland], the first eligible column — the
+   termination backstop after a stall. *)
+let price t y ~cost ~dots ~bland =
+  Csr.dot_rows t.cols y ~keep:(priceable t) dots;
   let best = ref (-1) and best_d = ref (-.eps_cost) in
   (try
      for j = 0 to t.n_total - 1 do
-       if t.allowed.(j) && not t.in_basis.(j) then begin
+       if priceable t j then begin
          let ya =
-           if j < t.n_struct then Csr.dot_row t.cols j y
+           if j < t.n_struct then dots.(j)
            else begin
              let i = t.art_row.(j - t.n_struct) in
              t.art_sign.(i) *. y.(i)
            end
          in
-         let d = cost_of j -. ya in
+         let d = cost.(j) -. ya in
          if d < !best_d then begin
            best := j;
            best_d := d;
@@ -362,8 +368,10 @@ let ratio_test t w ~bland =
 
 type status = R_optimal | R_unbounded | R_limit
 
-let run_phase t ~cost_of ~max_iter ~stall_limit =
+(* One simplex phase on the costs [cost] (length n_total). *)
+let run_phase t ~cost ~max_iter ~stall_limit =
   let y = Array.make t.m 0. in
+  let dots = Array.make t.n_struct 0. in
   let xchk = Array.make t.m 0. in
   let w = t.work in
   let bland = ref false in
@@ -392,10 +400,10 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
       let t0 = if prof then Prof.now () else 0. in
       (* Duals of the current basis: y = B⁻ᵀ c_B. *)
       for i = 0 to t.m - 1 do
-        y.(i) <- cost_of t.basis.(i)
+        y.(i) <- cost.(t.basis.(i))
       done;
       Eta_file.btran t.etas y;
-      let q = price t y ~cost_of ~bland:!bland in
+      let q = price t y ~cost ~dots ~bland:!bland in
       let t1 = if prof then Prof.now () else 0. in
       if prof then price_t := !price_t +. (t1 -. t0);
       if q < 0 then result := Some R_optimal
@@ -438,15 +446,20 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
           if prof then update_t := !update_t +. (Prof.now () -. t3);
           t.pivots_since_refactor <- t.pivots_since_refactor + 1;
           incr iter;
-          let obj = ref 0. in
-          for i = 0 to t.m - 1 do
-            obj := !obj +. (cost_of t.basis.(i) *. t.xb.(i))
-          done;
+          (* Summed in a local the closures below never see, so the
+             accumulator stays unboxed. *)
+          let obj =
+            let acc = ref 0. in
+            for i = 0 to t.m - 1 do
+              acc := !acc +. (cost.(t.basis.(i)) *. t.xb.(i))
+            done;
+            !acc
+          in
           let improved =
-            !obj < !best_obj -. (1e-12 *. (1. +. Float.abs !best_obj))
+            obj < !best_obj -. (1e-12 *. (1. +. Float.abs !best_obj))
           in
           if improved then begin
-            best_obj := !obj;
+            best_obj := obj;
             stalled := 0
           end
           else begin
@@ -470,7 +483,7 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
                    entering = q;
                    leaving;
                    step;
-                   objective = !obj;
+                   objective = obj;
                    degenerate = not improved;
                  });
           (* Forrest–Tomlin-style reinversion policy: the eta file is kept
@@ -516,7 +529,7 @@ let run_phase t ~cost_of ~max_iter ~stall_limit =
             else refactor t;
           if !iter mod 1000 = 0 then
             Log.debug (fun f ->
-                f "iter=%d obj=%.12g entering=%d leaving_row=%d" !iter !obj q r)
+                f "iter=%d obj=%.12g entering=%d leaving_row=%d" !iter obj q r)
         end
       end
     end
@@ -705,13 +718,16 @@ let finalize_phase1 t =
      only absorbs the perturbation's inconsistency — is harmless
      and stays. *)
   let rho = Array.make m 0. in
+  let dots = Array.make t.n_struct 0. in
+  let nonbasic j = not t.in_basis.(j) in
   for i = 0 to m - 1 do
     if t.basis.(i) >= t.n_struct then begin
       Eta_file.btran_unit t.etas i rho;
+      Csr.dot_rows t.cols rho ~keep:nonbasic dots;
       let best = ref (-1) and best_mag = ref 1e-6 in
       for j = 0 to t.n_struct - 1 do
-        if not t.in_basis.(j) then begin
-          let mag = Float.abs (Csr.dot_row t.cols j rho) in
+        if nonbasic j then begin
+          let mag = Float.abs dots.(j) in
           if mag > !best_mag then begin
             best := j;
             best_mag := mag
@@ -759,7 +775,7 @@ let finalize_phase1 t =
    job. Mass left after that means the trajectory degraded numerically
    (the exact aggregated solution is always feasible), and a fresh
    perturbation reshuffles the degenerate ties. *)
-let clear_artificial_mass t ~cost_of ~max_iter ~stall_limit =
+let clear_artificial_mass t ~cost ~max_iter ~stall_limit =
   let mass = ref (artificial_mass t) in
   let resumes = ref 0 in
   while !mass > 1e-6 && !resumes < 3 do
@@ -770,7 +786,7 @@ let clear_artificial_mass t ~cost_of ~max_iter ~stall_limit =
            resuming (round %d)"
           !mass !resumes);
     refactor t;
-    match run_phase t ~cost_of ~max_iter ~stall_limit with
+    match run_phase t ~cost ~max_iter ~stall_limit with
     | R_optimal, 0 ->
       (* No pivot even with exact duals: deterministic, so further rounds
          would replay the same state. *)
@@ -787,6 +803,10 @@ let clear_artificial_mass t ~cost_of ~max_iter ~stall_limit =
 let iteration_cap max_iter ~m ~ncols =
   match max_iter with Some k -> k | None -> 50_000 + (50 * (m + ncols))
 
+(* Phase-1 costs: 1 on every artificial, 0 on every structural. *)
+let phase1_cost t =
+  Array.init t.n_total (fun j -> if j >= t.n_struct then 1. else 0.)
+
 let prepare_unspanned ?max_iter ?(pert_scale = 1.) ?(salt = 0) model =
   let std = Std_form.build model in
   let m = Std_form.num_rows std in
@@ -798,17 +818,17 @@ let prepare_unspanned ?max_iter ?(pert_scale = 1.) ?(salt = 0) model =
   let rec attempt salt =
     Health.observe_salt salt;
     let t = build_state ~pert_scale std salt in
-    let cost_of j = if j >= t.n_struct then 1. else 0. in
+    let cost = phase1_cost t in
     let stall_limit = max 5_000 (20 * m) in
     let outcome =
-      match run_phase t ~cost_of ~max_iter ~stall_limit with
+      match run_phase t ~cost ~max_iter ~stall_limit with
       | R_limit, _ -> Error (Simplex.Iteration_limit_phase1 max_iter, "stall")
       | R_unbounded, _ ->
         (* Phase 1 minimizes a sum of nonnegative variables — unbounded is
            impossible in exact arithmetic, so reaching it means the basis
            degraded numerically. *)
         Error (Simplex.Infeasible_phase1, "numerically degraded basis")
-      | R_optimal, _ -> clear_artificial_mass t ~cost_of ~max_iter ~stall_limit
+      | R_optimal, _ -> clear_artificial_mass t ~cost ~max_iter ~stall_limit
     in
     match outcome with
     | Ok () ->
@@ -887,6 +907,7 @@ let basis_seeds t =
 let restore_feasibility t ~max_pivots =
   Span.with_ "restore" @@ fun () ->
   let rho = Array.make t.m 0. in
+  let dots = Array.make t.n_struct 0. in
   let w = t.work in
   let pivots = ref 0 in
   let ok = ref true in
@@ -911,10 +932,11 @@ let restore_feasibility t ~max_pivots =
     else begin
       let r = !r in
       Eta_file.btran_unit t.etas r rho;
+      Csr.dot_rows t.cols rho ~keep:(priceable t) dots;
       let best = ref (-1) and best_a = ref (-.eps_pivot) in
       for j = 0 to t.n_struct - 1 do
-        if t.allowed.(j) && not t.in_basis.(j) then begin
-          let a = Csr.dot_row t.cols j rho in
+        if priceable t j then begin
+          let a = dots.(j) in
           if a < !best_a then begin
             best := j;
             best_a := a
@@ -1092,9 +1114,10 @@ let prepare_seeded_unspanned ?max_iter ~seeds model =
       (* A short phase 1 clears the artificial mass of rows the seed left
          to their artificials; with none basic it terminates on the first
          pricing pass. *)
-      let cost_of j = if j >= t.n_struct then 1. else 0. in
       let stall_limit = max 5_000 (20 * m) in
-      match run_phase t ~cost_of ~max_iter:max_iter_v ~stall_limit with
+      match
+        run_phase t ~cost:(phase1_cost t) ~max_iter:max_iter_v ~stall_limit
+      with
       | R_optimal, _ ->
         if artificial_mass t > 1e-6 then cold ~fallback:true ()
         else begin
@@ -1167,7 +1190,7 @@ let refine_basic ?(rounds = 2) t ~rhs x =
 
 (* Same story for the duals: r = c_B − Bᵀy (one sparse pass), correction
    δ = B⁻ᵀr (one BTRAN). *)
-let refine_duals ?(rounds = 2) t ~cost_of y =
+let refine_duals ?(rounds = 2) t ~cost y =
   let r = Array.make t.m 0. in
   try
     for _ = 1 to rounds do
@@ -1181,7 +1204,7 @@ let refine_duals ?(rounds = 2) t ~cost_of y =
           let row = t.art_row.(c - t.n_struct) in
           dot := t.art_sign.(row) *. y.(row)
         end;
-        let ri = cost_of c -. !dot in
+        let ri = cost.(c) -. !dot in
         r.(i) <- ri;
         let a = Float.abs ri in
         if a > !worst then worst := a
@@ -1205,10 +1228,12 @@ let optimize_unspanned ?max_iter t direction objective =
   if warm then Metrics.inc m_warm;
   let max_iter = iteration_cap max_iter ~m:t.m ~ncols:t.n_struct in
   let sign = match direction with Simplex.Minimize -> 1. | Simplex.Maximize -> -1. in
-  let c = Std_form.costs t.std ~sign objective in
-  let cost_of j = if j < t.n_struct then c.(j) else 0. in
+  (* Phase-2 costs: the objective's on the structurals, 0 on every
+     artificial. *)
+  let cost = Array.make t.n_total 0. in
+  Array.blit (Std_form.costs t.std ~sign objective) 0 cost 0 t.n_struct;
   let stall_limit = max 5_000 (20 * t.m) in
-  let status, iterations = run_phase t ~cost_of ~max_iter ~stall_limit in
+  let status, iterations = run_phase t ~cost ~max_iter ~stall_limit in
   t.solves <- t.solves + 1;
   if warm then Metrics.observe m_warm_pivots (float_of_int iterations);
   Metrics.set m_eta_nnz (float_of_int (Eta_file.nnz t.etas));
@@ -1293,10 +1318,10 @@ let optimize_unspanned ?max_iter t direction objective =
        optimization direction. *)
     let y = Array.make t.m 0. in
     for i = 0 to t.m - 1 do
-      y.(i) <- cost_of t.basis.(i)
+      y.(i) <- cost.(t.basis.(i))
     done;
     Eta_file.btran t.etas y;
-    refine_duals t ~cost_of y;
+    refine_duals t ~cost y;
     let duals =
       Array.init t.std.Std_form.nrows_model (fun i ->
           sign *. t.std.Std_form.row_signs.(i) *. y.(i))

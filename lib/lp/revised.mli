@@ -7,7 +7,7 @@
     product of eta matrices:
 
     - pricing computes reduced costs [d_j = c_j − y·A_j] against the
-      sparse columns ({!Mapqn_sparse.Csr.dot_row});
+      sparse columns ({!Mapqn_sparse.Csr.dot_rows});
     - FTRAN/BTRAN apply the eta file in O(eta nonzeros);
     - the file is periodically rebuilt from identity (refactorization) to
       bound its growth and wash out roundoff.

@@ -112,16 +112,58 @@ let row_start t i = t.row_ptr.(i)
 let entry_col t p = t.col_idx.(p)
 let entry_value t p = t.values.(p)
 
-let dot_row t i x =
+(* The row kernels below read [row_ptr], [col_idx], [values] and the
+   dense vector unchecked. [of_coo_array], the only constructor that
+   builds a structure ([scale] and [map_values] keep one), puts every
+   column index in [0, ncols) and makes [row_ptr] ascend from 0 to nnz
+   over [nrows + 1] entries. So once [i] is a row and the vector covers
+   [ncols] columns, no read or write leaves its array. *)
+let check_row t i x what =
+  if i < 0 || i >= t.nrows then
+    invalid_arg (Printf.sprintf "Csr.%s: row %d of %d" what i t.nrows);
+  if Array.length x < t.ncols then
+    invalid_arg
+      (Printf.sprintf "Csr.%s: vector of length %d, %d columns" what
+         (Array.length x) t.ncols)
+
+let dot_row t i (x : float array) =
+  check_row t i x "dot_row";
   let acc = ref 0. in
-  for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-    acc := !acc +. (t.values.(k) *. x.(t.col_idx.(k)))
+  for k = Array.unsafe_get t.row_ptr i to Array.unsafe_get t.row_ptr (i + 1) - 1 do
+    acc :=
+      !acc
+      +. (Array.unsafe_get t.values k
+         *. Array.unsafe_get x (Array.unsafe_get t.col_idx k))
   done;
   !acc
 
-let scatter_row t i x =
-  for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-    x.(t.col_idx.(k)) <- x.(t.col_idx.(k)) +. t.values.(k)
+let dot_rows t (x : float array) ~keep (out : float array) =
+  if Array.length x < t.ncols then
+    invalid_arg
+      (Printf.sprintf "Csr.dot_rows: vector of length %d, %d columns"
+         (Array.length x) t.ncols);
+  if Array.length out < t.nrows then
+    invalid_arg
+      (Printf.sprintf "Csr.dot_rows: output of length %d, %d rows"
+         (Array.length out) t.nrows);
+  for i = 0 to t.nrows - 1 do
+    if keep i then begin
+      let acc = ref 0. in
+      for k = Array.unsafe_get t.row_ptr i to Array.unsafe_get t.row_ptr (i + 1) - 1 do
+        acc :=
+          !acc
+          +. (Array.unsafe_get t.values k
+             *. Array.unsafe_get x (Array.unsafe_get t.col_idx k))
+      done;
+      Array.unsafe_set out i !acc
+    end
+  done
+
+let scatter_row t i (x : float array) =
+  check_row t i x "scatter_row";
+  for k = Array.unsafe_get t.row_ptr i to Array.unsafe_get t.row_ptr (i + 1) - 1 do
+    let j = Array.unsafe_get t.col_idx k in
+    Array.unsafe_set x j (Array.unsafe_get x j +. Array.unsafe_get t.values k)
   done
 
 let iter t f =
@@ -129,26 +171,30 @@ let iter t f =
     iter_row t i (fun j v -> f i j v)
   done
 
-let mat_vec t x =
+let mat_vec t (x : float array) =
   if Array.length x <> t.ncols then invalid_arg "Csr.mat_vec: dim mismatch";
   let y = Array.make t.nrows 0. in
   for i = 0 to t.nrows - 1 do
     let acc = ref 0. in
-    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-      acc := !acc +. (t.values.(k) *. x.(t.col_idx.(k)))
+    for k = Array.unsafe_get t.row_ptr i to Array.unsafe_get t.row_ptr (i + 1) - 1 do
+      acc :=
+        !acc
+        +. (Array.unsafe_get t.values k
+           *. Array.unsafe_get x (Array.unsafe_get t.col_idx k))
     done;
-    y.(i) <- !acc
+    Array.unsafe_set y i !acc
   done;
   y
 
-let vec_mat x t =
+let vec_mat (x : float array) t =
   if Array.length x <> t.nrows then invalid_arg "Csr.vec_mat: dim mismatch";
   let y = Array.make t.ncols 0. in
   for i = 0 to t.nrows - 1 do
-    let xi = x.(i) in
+    let xi = Array.unsafe_get x i in
     if xi <> 0. then
-      for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-        y.(t.col_idx.(k)) <- y.(t.col_idx.(k)) +. (xi *. t.values.(k))
+      for k = Array.unsafe_get t.row_ptr i to Array.unsafe_get t.row_ptr (i + 1) - 1 do
+        let j = Array.unsafe_get t.col_idx k in
+        Array.unsafe_set y j (Array.unsafe_get y j +. (xi *. Array.unsafe_get t.values k))
       done
   done;
   y

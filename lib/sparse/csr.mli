@@ -2,7 +2,14 @@
 
     The exact CTMC generators of MAP networks have O(M·H) nonzeros per row
     but up to tens of thousands of rows; CSR keeps assembly and
-    matrix-vector products linear in the nonzero count. *)
+    matrix-vector products linear in the nonzero count.
+
+    {b Checked once.} The type is abstract and {!of_coo_array} is the only
+    constructor that builds a structure, validating every coordinate. So
+    the kernels {!dot_row}, {!dot_rows}, {!scatter_row}, {!mat_vec} and
+    {!vec_mat} check their row index and vector lengths once per call,
+    raising [Invalid_argument] on a mismatch, and run their per-entry
+    loops without bounds checks. *)
 
 type t
 
@@ -43,24 +50,36 @@ val entry_value : t -> int -> float
 (** Value of the entry at a stored position. *)
 
 val dot_row : t -> int -> float array -> float
-(** [dot_row t i x] is row [i] of [t] dotted with the dense vector [x] —
-    the kernel of revised-simplex pricing when [t] stores a constraint
-    matrix column-major (each "row" of the transpose is one column, and
-    pricing dots every column against the dual vector). *)
+(** [dot_row t i x] is row [i] of [t] dotted with the dense vector [x],
+    the terms added in stored order — the kernel of revised-simplex
+    pricing when [t] stores a constraint matrix column-major (each "row"
+    of the transpose is one column). Raises [Invalid_argument] unless
+    [0 <= i < nrows t] and [Array.length x >= ncols t]. *)
+
+val dot_rows : t -> float array -> keep:(int -> bool) -> float array -> unit
+(** [dot_rows t x ~keep out] sets [out.(i)] to [dot_row t i x], bit for
+    bit, for every row [i] with [keep i], leaving the other entries of
+    [out] alone — pricing's pass over every nonbasic column. The sums go
+    straight into [out], so none is boxed, as {!dot_row}'s result is
+    wherever the call is not inlined. Raises [Invalid_argument] when [x]
+    is shorter than [ncols t] or [out] shorter than [nrows t]. *)
 
 val scatter_row : t -> int -> float array -> unit
 (** [scatter_row t i x] adds row [i] of [t] into the dense vector [x]
     ([x.(j) <- x.(j) +. a_ij]) — used to expand one sparse column into a
-    dense work vector before a basis solve (FTRAN). *)
+    dense work vector before a basis solve (FTRAN). Raises
+    [Invalid_argument] unless [0 <= i < nrows t] and
+    [Array.length x >= ncols t]. *)
 
 val iter : t -> (int -> int -> float -> unit) -> unit
 (** Iterate all nonzeros in row-major order. *)
 
 val mat_vec : t -> float array -> float array
-(** [A x]. *)
+(** [A x]. Raises [Invalid_argument] unless [Array.length x = ncols t]. *)
 
 val vec_mat : float array -> t -> float array
-(** [xᵀ A] — the row-vector product used by stationary iterations. *)
+(** [xᵀ A] — the row-vector product used by stationary iterations.
+    Raises [Invalid_argument] unless [Array.length x = nrows t]. *)
 
 val transpose : t -> t
 val row_sums : t -> float array

@@ -14,7 +14,9 @@
 
    The same bases, factorized and extended with simplex pivots, check
    {!Eta_file.btran_unit} against {!Eta_file.btran} on every unit
-   vector, bit for bit up to the sign of zero. *)
+   vector, bit for bit up to the sign of zero, and the check-once
+   kernels of {!Eta_file} and {!Csr} against the checked loops they
+   replaced ({!Legacy_kernels}), bit for bit. *)
 
 module Markowitz = Mapqn_lp.Markowitz
 module Eta_file = Mapqn_lp.Eta_file
@@ -379,16 +381,18 @@ let check_btran_unit what inputs =
       | Some d, _ -> Alcotest.failf "%s, basis %d (%d rows): %s" what n m d)
     inputs
 
-let test_btran_unit_tandem ~keep population () =
-  check_btran_unit
-    (Printf.sprintf "tandem N=%d" population)
+(* The bases both the btran-unit and the check-once groups run on,
+   harvested once. *)
+let tandem_bases ~keep population =
+  lazy
     (harvest ~keep (fun () ->
          ignore (Bounds.create_exn (Tandem.network ~population ()) : Bounds.t)))
 
-let test_btran_unit_corpus () =
-  let models = Lazy.force Corpus_fixture.corpus_models in
-  check_btran_unit
-    (Printf.sprintf "%d corpus models" (List.length models))
+let tandem20 = tandem_bases ~keep:4 20
+let tandem60 = tandem_bases ~keep:3 60
+
+let corpus_bases =
+  lazy
     (List.concat_map
        (fun ((e : Corpus_fixture.entry), model) ->
          let net =
@@ -396,7 +400,18 @@ let test_btran_unit_corpus () =
          in
          harvest ~keep:2 (fun () ->
              ignore (Bounds.create_exn ~config:Constraints.standard net : Bounds.t)))
-       models)
+       (Lazy.force Corpus_fixture.corpus_models))
+
+let test_btran_unit_tandem population bases () =
+  check_btran_unit
+    (Printf.sprintf "tandem N=%d" population)
+    (Lazy.force bases)
+
+let test_btran_unit_corpus () =
+  check_btran_unit
+    (Printf.sprintf "%d corpus models"
+       (List.length (Lazy.force Corpus_fixture.corpus_models)))
+    (Lazy.force corpus_bases)
 
 (* A random eta file mixing ascending etas stored by [push_pivot] with
    unordered ones stored by [push]: short and long, with values that
@@ -491,6 +506,211 @@ let test_btran_unit_paths () =
   if !wide = 0 then Alcotest.fail "generator never reaches the dense switch";
   if !narrow = 0 then Alcotest.fail "every row ends past the dense switch"
 
+(* ---------------- check-once kernels ---------------- *)
+
+(* {!Eta_file} and {!Csr} validate each eta at push and each vector once
+   per call, then run their loops unchecked; {!Legacy_kernels} is the
+   same arithmetic with every access checked. The results must agree in
+   every bit, the sign of zero included. *)
+
+(* The first entry where [a] and [b] differ in their bits. *)
+let bit_diff what a b =
+  let n = Array.length a in
+  let rec go i =
+    if i >= n then None
+    else if bits a.(i) <> bits b.(i) then
+      Some (Printf.sprintf "%s, entry %d: %h vs %h" what i a.(i) b.(i))
+    else go (i + 1)
+  in
+  go 0
+
+(* Dense probes of length [m]: all ones, and a pseudo-random vector with
+   exact zeros in every third entry. *)
+let probes m =
+  let rand = Random.State.make [| m |] in
+  [
+    Array.make m 1.;
+    Array.init m (fun i ->
+        if i mod 3 = 0 then 0. else Random.State.float rand 4. -. 2.);
+  ]
+
+(* FTRAN and BTRAN of every probe and of every [stride]-th unit vector,
+   and [btran_unit] of every row, against the reference. *)
+let eta_kernels_diff ?(stride = 1) file m =
+  let legacy = Legacy_kernels.of_eta_file file in
+  let first = List.find_map Fun.id in
+  let apply what kernel reference v =
+    let x = Array.copy v and y = Array.copy v in
+    kernel file x;
+    reference legacy y;
+    bit_diff what x y
+  in
+  let unit i = Array.init m (fun j -> if j = i then 1. else 0.) in
+  let both i v =
+    first
+      [
+        apply (Printf.sprintf "ftran %s" i) Eta_file.ftran Legacy_kernels.ftran v;
+        apply (Printf.sprintf "btran %s" i) Eta_file.btran Legacy_kernels.btran v;
+      ]
+  in
+  first
+    (List.mapi (fun n v -> both (Printf.sprintf "probe %d" n) v) (probes m)
+    @ List.init m (fun i ->
+          first
+            [
+              (if i mod stride = 0 then both (Printf.sprintf "e_%d" i) (unit i)
+               else None);
+              (let y = Array.make m 0. and z = Array.make m 0. in
+               Eta_file.btran_unit file i y;
+               Legacy_kernels.btran_unit legacy i z;
+               bit_diff (Printf.sprintf "btran_unit %d" i) y z);
+            ]))
+
+(* The CSR kernels on the basis's column matrix ([n_struct] rows of
+   length m) against the reference. *)
+let csr_kernels_diff (inp : Markowitz.input) =
+  let a = inp.cols in
+  let m = Csr.ncols a and n = Csr.nrows a in
+  let first = List.find_map Fun.id in
+  let keep j = j mod 5 <> 2 in
+  first
+    (List.concat_map
+       (fun x ->
+         let dots = Array.make n nan in
+         Csr.dot_rows a x ~keep dots;
+         let expected =
+           Array.init n (fun j ->
+               if keep j then Legacy_kernels.dot_row a j x else nan)
+         in
+         let singles = Array.init n (fun j -> Csr.dot_row a j x) in
+         let scatter kernel =
+           let w = Array.copy x in
+           for j = 0 to n - 1 do
+             if keep j then kernel a j w
+           done;
+           w
+         in
+         let xt = Array.init n (fun j -> x.(j mod m)) in
+         [
+           bit_diff "dot_rows" dots expected;
+           bit_diff "dot_row" singles (Legacy_kernels.mat_vec a x);
+           bit_diff "scatter_row" (scatter Csr.scatter_row)
+             (scatter Legacy_kernels.scatter_row);
+           bit_diff "mat_vec" (Csr.mat_vec a x) (Legacy_kernels.mat_vec a x);
+           bit_diff "vec_mat" (Csr.vec_mat xt a) (Legacy_kernels.vec_mat xt a);
+         ])
+       (probes m))
+
+let check_kernels what inputs =
+  if inputs = [] then Alcotest.failf "%s: no bases harvested" what;
+  List.iteri
+    (fun n (inp : Markowitz.input) ->
+      let m = Array.length inp.basis in
+      let diff =
+        match eta_kernels_diff ~stride:8 (extended_file ~extra:24 inp) m with
+        | Some d -> Some d
+        | None -> csr_kernels_diff inp
+      in
+      Option.iter
+        (fun d -> Alcotest.failf "%s, basis %d (%d rows): %s" what n m d)
+        diff)
+    inputs
+
+let test_kernels_tandem population bases () =
+  check_kernels (Printf.sprintf "tandem N=%d" population) (Lazy.force bases)
+
+let test_kernels_corpus () =
+  check_kernels "corpus models" (Lazy.force corpus_bases)
+
+let prop_kernels =
+  QCheck.Test.make ~name:"eta kernels = checked reference, bit for bit"
+    ~count:300
+    (QCheck.make ~print:print_eta_file gen_eta_file)
+    (fun ((m, _) as spec) ->
+      match eta_kernels_diff (eta_file_of spec) m with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report d)
+
+let raises what f =
+  match f () with
+  | () -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+(* An eta that would let a kernel leave its vector is refused at push,
+   and the file is left as it was. *)
+let test_push_rejects () =
+  let file = Eta_file.create () in
+  Eta_file.push file { Eta_file.row = 2; pivot = 2.; idx = [| 0; 5 |]; vals = [| 1.; -1. |] };
+  let bad =
+    [
+      ("negative index", { Eta_file.row = 1; pivot = 1.; idx = [| 3; -1 |]; vals = [| 1.; 1. |] });
+      ("negative row", { Eta_file.row = -1; pivot = 1.; idx = [||]; vals = [||] });
+      ("more vals than idx", { Eta_file.row = 1; pivot = 1.; idx = [| 3 |]; vals = [| 1.; 2. |] });
+      ("more idx than vals", { Eta_file.row = 1; pivot = 1.; idx = [| 3; 4 |]; vals = [| 1. |] });
+    ]
+  in
+  List.iter
+    (fun (what, e) -> raises ("push: " ^ what) (fun () -> Eta_file.push file e))
+    bad;
+  Alcotest.(check int) "etas after the refused pushes" 1 (Eta_file.length file);
+  Alcotest.(check int) "nnz after the refused pushes" 3 (Eta_file.nnz file);
+  Alcotest.(check int) "row bound" 6 (Eta_file.row_bound file)
+
+(* Every kernel refuses a vector shorter than the row bound; one of
+   exactly the bound's length, or longer, is fine. *)
+let test_short_vectors_rejected () =
+  let file = Eta_file.create () in
+  Alcotest.(check int) "empty bound" 0 (Eta_file.row_bound file);
+  Eta_file.ftran file [||];
+  Eta_file.push file { Eta_file.row = 1; pivot = 2.; idx = [| 4 |]; vals = [| 1. |] };
+  let w = [| 1.; 2.; 0.; 3.; 0.; 0.; 5.; 7. |] in
+  Eta_file.push_pivot file w 3 7;
+  Alcotest.(check int) "bound covers the pivot etas" 7 (Eta_file.row_bound file);
+  let kernels =
+    [
+      ("ftran", fun v -> Eta_file.ftran file v);
+      ("btran", fun v -> Eta_file.btran file v);
+      ("btran_unit", fun v -> Eta_file.btran_unit file 0 v);
+    ]
+  in
+  List.iter
+    (fun (what, kernel) ->
+      raises (what ^ " on a short vector") (fun () -> kernel (Array.make 6 1.));
+      raises (what ^ " on an empty vector") (fun () -> kernel [||]);
+      kernel (Array.make 7 1.);
+      kernel (Array.make 9 1.))
+    kernels;
+  raises "btran_unit row past the vector" (fun () ->
+      Eta_file.btran_unit file 7 (Array.make 7 0.));
+  raises "btran_unit negative row" (fun () ->
+      Eta_file.btran_unit file (-1) (Array.make 7 0.));
+  raises "push_pivot row outside w" (fun () -> Eta_file.push_pivot file w 8 7);
+  raises "push_pivot m past w" (fun () -> Eta_file.push_pivot file w 3 9);
+  Eta_file.clear file;
+  Alcotest.(check int) "cleared bound" 0 (Eta_file.row_bound file);
+  Eta_file.btran file [||]
+
+(* [get] hands out copies: writing to them changes neither the file nor
+   what its kernels compute. *)
+let test_get_copies () =
+  let file = Eta_file.create () in
+  Eta_file.push file { Eta_file.row = 0; pivot = 2.; idx = [| 1; 2 |]; vals = [| 0.5; -1. |] };
+  let before = Array.init 3 (fun i -> Array.init 3 (fun j -> if i = j then 1. else 0.)) in
+  Array.iter (Eta_file.ftran file) before;
+  let e = Eta_file.get file 0 in
+  e.idx.(0) <- 1_000_000;
+  e.vals.(1) <- 42.;
+  let again = Eta_file.get file 0 in
+  Alcotest.(check (array int)) "idx unchanged" [| 1; 2 |] again.idx;
+  Alcotest.(check (array (float 0.))) "vals unchanged" [| 0.5; -1. |] again.vals;
+  Alcotest.(check int) "row bound unchanged" 3 (Eta_file.row_bound file);
+  let after = Array.init 3 (fun i -> Array.init 3 (fun j -> if i = j then 1. else 0.)) in
+  Array.iter (Eta_file.ftran file) after;
+  Array.iteri
+    (fun i v ->
+      Option.iter Alcotest.fail (bit_diff (Printf.sprintf "ftran e_%d" i) v after.(i)))
+    before
+
 let () =
   Alcotest.run "lu"
     [
@@ -511,11 +731,24 @@ let () =
       ( "btran-unit",
         [
           Alcotest.test_case "tandem N=20" `Quick
-            (test_btran_unit_tandem ~keep:4 20);
+            (test_btran_unit_tandem 20 tandem20);
           Alcotest.test_case "tandem N=60" `Quick
-            (test_btran_unit_tandem ~keep:3 60);
+            (test_btran_unit_tandem 60 tandem60);
           Alcotest.test_case "hard corpus models" `Quick test_btran_unit_corpus;
           QCheck_alcotest.to_alcotest prop_btran_unit;
           Alcotest.test_case "dense switch reached" `Quick test_btran_unit_paths;
+        ] );
+      ( "check-once",
+        [
+          Alcotest.test_case "tandem N=20" `Quick
+            (test_kernels_tandem 20 tandem20);
+          Alcotest.test_case "tandem N=60" `Quick
+            (test_kernels_tandem 60 tandem60);
+          Alcotest.test_case "hard corpus models" `Quick test_kernels_corpus;
+          QCheck_alcotest.to_alcotest prop_kernels;
+          Alcotest.test_case "push rejects invalid etas" `Quick test_push_rejects;
+          Alcotest.test_case "short vectors rejected" `Quick
+            test_short_vectors_rejected;
+          Alcotest.test_case "get returns a copy" `Quick test_get_copies;
         ] );
     ]

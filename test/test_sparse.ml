@@ -94,6 +94,37 @@ let test_positions () =
   Alcotest.(check int) "last row ends at nnz" (Csr.nnz m)
     (Csr.row_start m (Csr.nrows m))
 
+(* The row kernels check their row index and vector lengths once per
+   call, then run unchecked: every bad argument must be refused. *)
+let test_kernels_reject () =
+  let m = Csr.of_coo ~rows:3 ~cols:4 [ (0, 0, 1.); (0, 3, 2.); (2, 1, 3.) ] in
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let short = Array.make 3 1. and full = Array.make 4 1. in
+  raises "dot_row short vector" (fun () -> ignore (Csr.dot_row m 0 short));
+  raises "dot_row row past the end" (fun () -> ignore (Csr.dot_row m 3 full));
+  raises "dot_row negative row" (fun () -> ignore (Csr.dot_row m (-1) full));
+  raises "scatter_row short vector" (fun () -> Csr.scatter_row m 0 short);
+  raises "scatter_row row past the end" (fun () -> Csr.scatter_row m 3 full);
+  raises "scatter_row negative row" (fun () -> Csr.scatter_row m (-1) full);
+  raises "dot_rows short vector" (fun () ->
+      Csr.dot_rows m short ~keep:(fun _ -> true) (Array.make 3 0.));
+  raises "dot_rows short output" (fun () ->
+      Csr.dot_rows m full ~keep:(fun _ -> true) (Array.make 2 0.));
+  raises "mat_vec short vector" (fun () -> ignore (Csr.mat_vec m short));
+  raises "mat_vec long vector" (fun () -> ignore (Csr.mat_vec m (Array.make 5 1.)));
+  raises "vec_mat short vector" (fun () -> ignore (Csr.vec_mat [| 1.; 1. |] m));
+  raises "vec_mat long vector" (fun () -> ignore (Csr.vec_mat full m));
+  (* A longer vector is fine for the row kernels; dot_rows leaves the
+     rows it skips alone. *)
+  check_float "dot_row long vector" 3. (Csr.dot_row m 0 (Array.make 6 1.));
+  let out = [| -1.; -1.; -1. |] in
+  Csr.dot_rows m [| 1.; 2.; 3.; 4. |] ~keep:(fun i -> i <> 1) out;
+  check_vec "dot_rows" [| 9.; -1.; 6. |] out
+
 (* ---------------- Stationary ---------------- *)
 
 let birth_death_generator n ~birth ~death =
@@ -195,6 +226,8 @@ let () =
           Alcotest.test_case "row sums and scale" `Quick test_row_sums_scale;
           Alcotest.test_case "iteration order" `Quick test_iter_order;
           Alcotest.test_case "entry positions" `Quick test_positions;
+          Alcotest.test_case "kernels reject bad arguments" `Quick
+            test_kernels_reject;
         ] );
       ( "stationary",
         [
