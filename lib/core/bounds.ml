@@ -131,8 +131,13 @@ let work t =
   | B_dense _ -> t.retired
   | B_revised r -> add_work t.retired (Revised.stats r)
 
+(* Count the work of a revised state the handle drops. *)
+let retire t = function
+  | B_dense _ -> ()
+  | B_revised r -> t.retired <- add_work t.retired (Revised.stats r)
+
 let swap_backend t backend =
-  t.retired <- work t;
+  retire t t.backend;
   t.backend <- backend
 
 (* ------------------------------------------------------------------ *)
@@ -184,38 +189,48 @@ let ladder =
 let dense_rescue_cells = 2_000_000
 
 (* The fresh backend a re-preparing rung derives for [model] from the
-   [failing] one ([None] for a failed prepare); [None] when the rung does
-   not apply or its own prepare fails. *)
+   [failing] one ([None] for a failed prepare); [Error lost] when the rung
+   does not apply or its own prepare fails, [lost] being the revised work
+   that failure dropped. *)
 let reprepare ?max_iter model failing rung =
-  let prepared wrap = function Ok p -> Some (wrap p) | Error _ -> None in
+  let dense = function
+    | Ok p -> Ok (B_dense p)
+    | Error _ -> Error no_work
+  in
   match (rung, failing) with
-  | Refine, _ | Reprepare { serves_dense = false; _ }, Some (B_dense _) -> None
+  | Refine, _ | Reprepare { serves_dense = false; _ }, Some (B_dense _) ->
+    Error no_work
   | Reprepare { salt; _ }, Some (B_dense _) ->
-    prepared (fun p -> B_dense p) (Simplex.prepare ?max_iter ~salt model)
-  | Reprepare { scale; salt; _ }, (None | Some (B_revised _)) ->
+    dense (Simplex.prepare ?max_iter ~salt model)
+  | Reprepare { scale; salt; _ }, (None | Some (B_revised _)) -> (
     let current =
       match failing with Some (B_revised r) -> Revised.pert_scale r | _ -> 1.
     in
-    prepared
-      (fun p -> B_revised p)
-      (Revised.prepare ?max_iter ~pert_scale:(current *. scale) ~salt model)
+    match
+      Revised.prepare ?max_iter ~pert_scale:(current *. scale) ~salt model
+    with
+    | Ok p -> Ok (B_revised p)
+    | Error (_, lost) -> Error lost)
   | Dense_tableau, _ ->
-    if Lp.num_vars model * Lp.num_rows model > dense_rescue_cells then None
-    else prepared (fun p -> B_dense p) (Simplex.prepare ?max_iter model)
+    if Lp.num_vars model * Lp.num_rows model > dense_rescue_cells then
+      Error no_work
+    else dense (Simplex.prepare ?max_iter model)
 
-let rescue_prepare ?max_iter model err =
+(* A failed prepare's rescue: the first rung that prepares, with the work
+   of the failed prepare and of every rung that failed before it. *)
+let rescue_prepare ?max_iter model (err, lost) =
   Mapqn_obs.Metrics.inc m_rescues;
   Mapqn_obs.Span.with_ "bounds.rescue" @@ fun () ->
-  let rec climb = function
+  let rec climb lost = function
     | [] -> Error err
     | (cause, rung) :: rest -> (
       match reprepare ?max_iter model None rung with
-      | Some backend ->
+      | Ok backend ->
         Health.observe_rescue cause;
-        Ok backend
-      | None -> climb rest)
+        Ok (backend, lost)
+      | Error more -> climb (add_work lost more) rest)
   in
-  climb ladder
+  climb lost ladder
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -224,14 +239,18 @@ let rescue_prepare ?max_iter model err =
 (* The one path from a built LP to a handle, shared by [create] and
    [Sweep.step]: phase 1, seeded from [seeds] when given, with a failed
    revised prepare climbing the rescue ladder (the dense oracle itself
-   stays unrescued). Also returns whether the seed took. *)
+   stays unrescued). Also returns whether the seed took. The handle
+   retires [retired] plus the work of every prepare that failed on the
+   way. *)
 let prepare ~solver ~config ?max_iter ~accept_uncertified ?seeds ~retired
     network ms model =
   Mapqn_obs.Span.with_ "bounds.prepare" @@ fun () ->
   let prepared =
     match solver with
     | Dense ->
-      Result.map (fun p -> (B_dense p, false)) (Simplex.prepare ?max_iter model)
+      Result.map
+        (fun p -> (B_dense p, false, no_work))
+        (Simplex.prepare ?max_iter model)
     | Revised -> (
       let first =
         match seeds with
@@ -240,12 +259,14 @@ let prepare ~solver ~config ?max_iter ~accept_uncertified ?seeds ~retired
           Result.map (fun p -> (p, false)) (Revised.prepare ?max_iter model)
       in
       match first with
-      | Ok (p, seeded) -> Ok (B_revised p, seeded)
+      | Ok (p, seeded) -> Ok (B_revised p, seeded, no_work)
       | Error e ->
-        Result.map (fun b -> (b, false)) (rescue_prepare ?max_iter model e))
+        Result.map
+          (fun (b, lost) -> (b, false, lost))
+          (rescue_prepare ?max_iter model e))
   in
   match prepared with
-  | Ok (backend, seeded) ->
+  | Ok (backend, seeded, lost) ->
     Ok
       ( {
           network;
@@ -255,7 +276,7 @@ let prepare ~solver ~config ?max_iter ~accept_uncertified ?seeds ~retired
           config;
           max_iter;
           accept_uncertified;
-          retired;
+          retired = add_work retired lost;
         },
         seeded )
   | Error Simplex.Infeasible_phase1 -> Error Infeasible_phase1
@@ -444,12 +465,19 @@ let rescue t direction objective (f0 : Certificate.failure) =
         match (rung, t.backend) with
         | Refine, B_revised r ->
           Revised.force_refactor r;
-          Some t.backend
+          Ok t.backend
         | _ -> reprepare ?max_iter:t.max_iter t.model (Some t.backend) rung
       in
-      match Option.map (fun b -> (b, certified b)) candidate with
-      | None | Some (_, None) -> climb rest
-      | Some (backend, Some s) ->
+      (* Every state a rung prepared and dropped keeps its work;
+         refine retried the handle's own state. *)
+      match Result.map (fun b -> (b, certified b)) candidate with
+      | Error lost ->
+        t.retired <- add_work t.retired lost;
+        climb rest
+      | Ok (backend, None) ->
+        if rung <> Refine then retire t backend;
+        climb rest
+      | Ok (backend, Some s) ->
         (match (rung, t.backend) with
         | Refine, _ | Dense_tableau, B_dense _ -> ()
         | _ -> swap_backend t backend);

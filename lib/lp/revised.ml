@@ -803,11 +803,45 @@ let clear_artificial_mass t ~cost ~max_iter ~stall_limit =
 let iteration_cap max_iter ~m ~ncols =
   match max_iter with Some k -> k | None -> 50_000 + (50 * (m + ncols))
 
+type stats = {
+  refactorizations : int;
+  pivots : int;
+  eta_nnz : int;
+  solves : int;
+  refactor_stability : int;
+  refactor_growth : int;
+  refactor_drift : int;
+  refactor_backstop : int;
+}
+
+let stats t =
+  {
+    refactorizations = t.n_refactors;
+    pivots = t.n_pivots;
+    eta_nnz = Eta_file.nnz t.etas;
+    solves = t.solves;
+    refactor_stability = t.n_refactor_stability;
+    refactor_growth = t.n_refactor_growth;
+    refactor_drift = t.n_refactor_drift;
+    refactor_backstop = t.n_refactor_backstop;
+  }
+
 (* Phase-1 costs: 1 on every artificial, 0 on every structural. *)
 let phase1_cost t =
   Array.init t.n_total (fun j -> if j >= t.n_struct then 1. else 0.)
 
-let prepare_unspanned ?max_iter ?(pert_scale = 1.) ?(salt = 0) model =
+(* Count the work of [dropped], a state abandoned while preparing [t] (a
+   failed perturbation draw, a seed that did not take), in [t]'s own
+   counters, so that [stats t] covers every attempt made for it. *)
+let inherit_work t ~dropped =
+  t.n_pivots <- t.n_pivots + dropped.n_pivots;
+  t.n_refactors <- t.n_refactors + dropped.n_refactors;
+  t.n_refactor_stability <- t.n_refactor_stability + dropped.n_refactor_stability;
+  t.n_refactor_growth <- t.n_refactor_growth + dropped.n_refactor_growth;
+  t.n_refactor_drift <- t.n_refactor_drift + dropped.n_refactor_drift;
+  t.n_refactor_backstop <- t.n_refactor_backstop + dropped.n_refactor_backstop
+
+let prepare_unspanned ?max_iter ?(pert_scale = 1.) ?(salt = 0) ?dropped model =
   let std = Std_form.build model in
   let m = Std_form.num_rows std in
   let max_iter = iteration_cap max_iter ~m ~ncols:std.Std_form.ncols in
@@ -815,9 +849,10 @@ let prepare_unspanned ?max_iter ?(pert_scale = 1.) ?(salt = 0) model =
   (* One phase 1 on perturbation draw [salt]. Every failure is numerics
      on these always-feasible LPs, so fresh draws follow up to draw
      [salt0 + 3]. The draws start at 0 whatever the base. *)
-  let rec attempt salt =
+  let rec attempt salt dropped =
     Health.observe_salt salt;
     let t = build_state ~pert_scale std salt in
+    Option.iter (fun dropped -> inherit_work t ~dropped) dropped;
     let cost = phase1_cost t in
     let stall_limit = max 5_000 (20 * m) in
     let outcome =
@@ -838,10 +873,10 @@ let prepare_unspanned ?max_iter ?(pert_scale = 1.) ?(salt = 0) model =
       Metrics.inc m_retries;
       Log.debug (fun f ->
           f "phase 1: %s with perturbation salt %d; retrying" why salt);
-      attempt (salt + 1)
-    | Error (e, _) -> Error e
+      attempt (salt + 1) (Some t)
+    | Error (e, _) -> Error (e, stats t)
   in
-  attempt 0
+  attempt 0 dropped
 
 let prepare ?max_iter ?pert_scale ?salt model =
   Span.with_ "revised.phase1" (fun () ->
@@ -1029,11 +1064,15 @@ let restore_feasibility t ~max_pivots =
   !ok
 
 let prepare_seeded_unspanned ?max_iter ~seeds model =
-  let cold ~fallback () =
-    if fallback then Metrics.inc m_seeded_fallback;
-    Result.map (fun t -> (t, false)) (prepare_unspanned ?max_iter model)
+  let cold ?dropped () =
+    Result.map (fun t -> (t, false)) (prepare_unspanned ?max_iter ?dropped model)
   in
-  if seeds = [] then cold ~fallback:false ()
+  (* A seed that did not take: the cold state inherits its work. *)
+  let fall_back t =
+    Metrics.inc m_seeded_fallback;
+    cold ~dropped:t ()
+  in
+  if seeds = [] then cold ()
   else begin
     Metrics.inc m_seeded;
     let std = Std_form.build model in
@@ -1105,7 +1144,7 @@ let prepare_seeded_unspanned ?max_iter ~seeds model =
           f "seeded prepare: feasibility restoration failed (%d infeasible \
              rows); falling back to cold phase 1"
             !infeasible);
-      cold ~fallback:true ()
+      fall_back t
     end
     else begin
       for i = 0 to m - 1 do
@@ -1119,12 +1158,12 @@ let prepare_seeded_unspanned ?max_iter ~seeds model =
         run_phase t ~cost:(phase1_cost t) ~max_iter:max_iter_v ~stall_limit
       with
       | R_optimal, _ ->
-        if artificial_mass t > 1e-6 then cold ~fallback:true ()
+        if artificial_mass t > 1e-6 then fall_back t
         else begin
           finalize_phase1 t;
           Ok (t, true)
         end
-      | (R_limit | R_unbounded), _ -> cold ~fallback:true ()
+      | (R_limit | R_unbounded), _ -> fall_back t
     end
   end
 
@@ -1222,7 +1261,7 @@ let refine_duals ?(rounds = 2) t ~cost y =
    the ledger shows which solves refinement actually saved. *)
 let refine_rescue_threshold = 1e-6
 
-let optimize_unspanned ?max_iter t direction objective =
+let optimize_unspanned ?max_iter (t : t) direction objective =
   Metrics.inc m_solves;
   let warm = t.solves > 0 in
   if warm then Metrics.inc m_warm;
@@ -1335,36 +1374,13 @@ let optimize ?max_iter t direction objective =
 
 let solve ?max_iter model direction objective =
   match prepare ?max_iter model with
-  | Error Simplex.Infeasible_phase1 -> Simplex.Infeasible
-  | Error (Simplex.Iteration_limit_phase1 _) -> Simplex.Iteration_limit
+  | Error (Simplex.Infeasible_phase1, _) -> Simplex.Infeasible
+  | Error (Simplex.Iteration_limit_phase1 _, _) -> Simplex.Iteration_limit
   | Ok t -> optimize ?max_iter t direction objective
 
 (* ------------------------------------------------------------------ *)
 (* Introspection and reinversion tuning                                *)
 (* ------------------------------------------------------------------ *)
-
-type stats = {
-  refactorizations : int;
-  pivots : int;
-  eta_nnz : int;
-  solves : int;
-  refactor_stability : int;
-  refactor_growth : int;
-  refactor_drift : int;
-  refactor_backstop : int;
-}
-
-let stats t =
-  {
-    refactorizations = t.n_refactors;
-    pivots = t.n_pivots;
-    eta_nnz = Eta_file.nnz t.etas;
-    solves = t.solves;
-    refactor_stability = t.n_refactor_stability;
-    refactor_growth = t.n_refactor_growth;
-    refactor_drift = t.n_refactor_drift;
-    refactor_backstop = t.n_refactor_backstop;
-  }
 
 let force_refactor t = refactor t
 

@@ -31,13 +31,34 @@ type t
 (** A prepared (phase-1 feasible) solver state for one model. Mutable:
     {!optimize} moves the basis. *)
 
+(** The work a state has done. Its counters cover every attempt made to
+    prepare it: a phase 1 that failed on one perturbation draw and was
+    retried on the next, or a seed that did not take before a cold
+    phase 1, is counted in the state that replaced it. *)
+type stats = {
+  refactorizations : int;  (** basis refactorizations over this state's life *)
+  pivots : int;
+      (** simplex and feasibility-restoration pivots over this state's life *)
+  eta_nnz : int;  (** current eta-file nonzeros *)
+  solves : int;  (** phase-2 optimizations since the last {!reset} *)
+  refactor_stability : int;
+      (** reinversions forced by the small-pivot stability trigger *)
+  refactor_growth : int;  (** reinversions from eta-file growth *)
+  refactor_drift : int;  (** reinversions from sampled eta-chain drift *)
+  refactor_backstop : int;  (** reinversions from the pivot-count backstop *)
+}
+
+val stats : t -> stats
+
 val prepare :
   ?max_iter:int ->
   ?pert_scale:float ->
   ?salt:int ->
   Lp_model.t ->
-  (t, Simplex.prepare_error) result
+  (t, Simplex.prepare_error * stats) result
 (** Run phase 1. Default [max_iter] is [50_000 + 50 * (rows + vars)].
+    A failure comes with the work of every attempt it made, so callers
+    can count it although no state is returned.
 
     [pert_scale] (default [1.]) multiplies the anti-degeneracy
     perturbation globally, on top of the built-in per-row scaling (row
@@ -91,7 +112,7 @@ val prepare_seeded :
   ?max_iter:int ->
   seeds:seed list ->
   Lp_model.t ->
-  (t * bool, Simplex.prepare_error) result
+  (t * bool, Simplex.prepare_error * stats) result
 (** Phase 1 warm-started from a seed basis (already translated into the
     new model's terms). The returned flag is [true] when the seed was
     used and [false] when the preparation fell back to a cold phase 1
@@ -101,20 +122,6 @@ val prepare_seeded :
     timing and {!stats}. *)
 
 (** {1 Introspection and reinversion tuning} *)
-
-type stats = {
-  refactorizations : int;  (** basis refactorizations over this state's life *)
-  pivots : int;  (** simplex pivots over this state's life *)
-  eta_nnz : int;  (** current eta-file nonzeros *)
-  solves : int;  (** phase-2 optimizations since the last {!reset} *)
-  refactor_stability : int;
-      (** reinversions forced by the small-pivot stability trigger *)
-  refactor_growth : int;  (** reinversions from eta-file growth *)
-  refactor_drift : int;  (** reinversions from sampled eta-chain drift *)
-  refactor_backstop : int;  (** reinversions from the pivot-count backstop *)
-}
-
-val stats : t -> stats
 
 val force_refactor : t -> unit
 (** Rebuild the eta file of the current basis immediately. The

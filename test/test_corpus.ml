@@ -22,6 +22,7 @@ module Solution = Mapqn_ctmc.Solution
 module Health = Mapqn_obs.Health
 module Json = Mapqn_obs.Json
 module Ledger = Mapqn_obs.Ledger
+module Metrics = Mapqn_obs.Metrics
 
 open Corpus_fixture
 
@@ -112,6 +113,26 @@ let swap_models =
     ("model-00700", Health.Reperturbed);
   ]
 
+(* Every pivot the process performed: the simplex phases' counter plus
+   the seeded preparations' restoration pivots. A record's pivot delta
+   must equal this delta over the call that wrote it — the work of
+   states the solver dropped on the way (a rescue rung whose certificate
+   failed too, a perturbation draw that failed, a seed that fell back
+   cold) included. *)
+let pivots_performed () =
+  let value name =
+    match Metrics.find name with
+    | [ { Metrics.value = Metrics.Counter v; _ } ] -> v
+    | [ { Metrics.value = Metrics.Histogram h; _ } ] -> h.Metrics.sum
+    | _ -> Alcotest.failf "metric %s not registered" name
+  in
+  value "revised_pivots_total" +. value "revised_restoration_pivots"
+
+(* The record pivots a known rescue must show: model-05828's N=8 eval
+   climbs past a reperturbed state whose certificate failed to the cold
+   re-solve, and those pivots count too. *)
+let known_record_pivots = [ (("model-05828", 8, "eval"), 820) ]
+
 let test_work_accounting_across_swaps () =
   let models = Lazy.force corpus_models in
   (* This test owns the process ledger while it runs; a sink that was
@@ -140,23 +161,35 @@ let test_work_accounting_across_swaps () =
         Bounds.Sweep.create ~config:Constraints.standard (fun population ->
             Network.with_population model.Random_models.network population)
       in
+      (* The pivots performed during each ledger-writing call, in record
+         order. *)
+      let performed = ref [] in
+      let counted f =
+        let p0 = pivots_performed () in
+        let r = f () in
+        performed := (pivots_performed () -. p0) :: !performed;
+        r
+      in
       List.iter
         (fun population ->
-          if population <= e.fail_population then
-            ignore
-              (Bounds.response_time (Bounds.Sweep.step_exn sweep population)
-                : Bounds.interval))
+          if population <= e.fail_population then begin
+            let b = counted (fun () -> Bounds.Sweep.step_exn sweep population) in
+            ignore (counted (fun () -> Bounds.response_time b) : Bounds.interval)
+          end)
         grid;
       Ledger.disable ();
       let records = Ledger.load path in
+      if List.length records <> List.length !performed then
+        Alcotest.failf "%s: %d records for %d ledger-writing calls" id
+          (List.length records) (List.length !performed);
       let num r name =
         match Option.bind (Json.member name r) Json.get_float with
         | Some v -> v
         | None -> Alcotest.failf "%s: record without %s" id name
       in
       let pivots = ref 0. and refactors = ref 0. and rescued = ref false in
-      List.iter
-        (fun r ->
+      List.iter2
+        (fun r performed ->
           let p = num r "pivots" and f = num r "refactorizations" in
           if p < 0. || f < 0. then
             Alcotest.failf "%s N=%d %s: negative work delta (%g pivots, %g \
@@ -188,9 +221,22 @@ let test_work_accounting_across_swaps () =
            with
           | Some s when Health.rescue_of_string s = Some rung -> rescued := true
           | _ -> ());
+          let where =
+            Printf.sprintf "%s N=%d %s" id (Ledger.population r) (Ledger.event r)
+          in
+          Alcotest.(check int)
+            (where ^ " pivots = pivots performed")
+            (int_of_float performed) (int_of_float p);
+          (match
+             List.assoc_opt (id, Ledger.population r, Ledger.event r)
+               known_record_pivots
+           with
+          | Some expected ->
+            Alcotest.(check int) (where ^ " pivots") expected (int_of_float p)
+          | None -> ());
           pivots := !pivots +. p;
           refactors := !refactors +. f)
-        records;
+        records (List.rev !performed);
       if not !rescued then
         Alcotest.failf "%s: no record shows its %s rescue" id
           (Health.rescue_to_string rung);
@@ -201,6 +247,35 @@ let test_work_accounting_across_swaps () =
         (id ^ " refactorizations") st.Bounds.Sweep.refactorizations
         (int_of_float !refactors))
     swap_models
+
+(* A seeded sweep step whose seed does not take falls back to a cold
+   phase 1; the abandoned attempt's restoration pivots and
+   refactorizations count toward the step. Model 24 of the 4-queue
+   fleet (two MAP stations, master seed 2008) falls back at N=2. *)
+let test_fallback_work () =
+  let spec =
+    { Random_models.default_spec with stations = 4; map_stations = 2 }
+  in
+  let model = List.nth (Random_models.generate_many ~spec ~seed:2008 25) 24 in
+  let sweep =
+    Bounds.Sweep.create ~config:Constraints.standard (fun population ->
+        Network.with_population model.Random_models.network population)
+  in
+  ignore (Bounds.response_time (Bounds.Sweep.step_exn sweep 1) : Bounds.interval);
+  let fallbacks () =
+    match Metrics.find "revised_seeded_prepare_fallbacks_total" with
+    | [ { Metrics.value = Metrics.Counter v; _ } ] -> v
+    | _ -> Alcotest.fail "fallback counter not registered"
+  in
+  let f0 = fallbacks () and p0 = pivots_performed () in
+  let before = (Bounds.Sweep.stats sweep).Bounds.Sweep.pivots in
+  ignore (Bounds.Sweep.step_exn sweep 2 : Bounds.t);
+  let performed = pivots_performed () -. p0 in
+  Alcotest.(check (float 0.)) "the N=2 seed falls back" 1. (fallbacks () -. f0);
+  Alcotest.(check int)
+    "step pivots = pivots performed, the abandoned attempt's included"
+    (int_of_float performed)
+    ((Bounds.Sweep.stats sweep).Bounds.Sweep.pivots - before)
 
 (* ---------------- exact-CTMC containment ---------------- *)
 
@@ -316,6 +391,8 @@ let () =
             test_corpus_certifies;
           Alcotest.test_case "exact CTMC within rescued bounds" `Slow
             test_corpus_ctmc_containment;
+          Alcotest.test_case "a seed that falls back keeps its work" `Slow
+            test_fallback_work;
         ] );
       ( "near-degenerate",
         QCheck_alcotest.to_alcotest prop_degenerate_revised_matches_dense
