@@ -78,28 +78,34 @@ let push t e =
   done;
   append t e ~ascending:false ~top:!top
 
-let of_pivot w r m =
+(* Once [r] and [m] are checked against [w], every read of [w] is in
+   range, and the second pass writes exactly the [cnt] entries the first
+   counted. *)
+let of_pivot (w : float array) r m =
+  if r < 0 || r >= Array.length w || m > Array.length w then
+    invalid_arg "Eta_file.of_pivot: row or length outside the column";
   let cnt = ref 0 in
   for i = 0 to m - 1 do
-    if i <> r && w.(i) <> 0. then incr cnt
+    if i <> r && Array.unsafe_get w i <> 0. then incr cnt
   done;
-  if !cnt = 0 && Float.abs (w.(r) -. 1.) < 1e-15 then None
+  let pivot = Array.unsafe_get w r in
+  if !cnt = 0 && Float.abs (pivot -. 1.) < 1e-15 then None
   else begin
     let idx = Array.make !cnt 0 and vals = Array.make !cnt 0. in
     let p = ref 0 in
     for i = 0 to m - 1 do
-      if i <> r && w.(i) <> 0. then begin
-        idx.(!p) <- i;
-        vals.(!p) <- w.(i);
+      let v = Array.unsafe_get w i in
+      if i <> r && v <> 0. then begin
+        Array.unsafe_set idx !p i;
+        Array.unsafe_set vals !p v;
         incr p
       end
     done;
-    Some { row = r; pivot = w.(r); idx; vals }
+    Some { row = r; pivot; idx; vals }
   end
 
-(* [of_pivot] read [w.(r)] and [w.(0 .. m-1)] checked, so its eta is
-   valid by construction: [r] and every index are rows of [w], and the
-   indices ascend, the last being the largest. *)
+(* [of_pivot]'s eta is valid by construction: [r] and every index are
+   rows of [w], and the indices ascend, the last being the largest. *)
 let push_pivot t w r m =
   match of_pivot w r m with
   | Some e ->

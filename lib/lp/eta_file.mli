@@ -38,8 +38,8 @@ val push_pivot : t -> float array -> int -> int -> unit
 (** [push_pivot t w r m] appends [of_pivot w r m] (nothing when that is
     [None]) and records that its entries ascend by row, which lets
     {!btran_unit} look rows up in it by binary search. Its eta is valid
-    by construction; it raises [Invalid_argument] only when [r] or [m]
-    lies outside [w], as {!of_pivot} does. *)
+    by construction; it raises [Invalid_argument] only when {!of_pivot}
+    does. *)
 
 val length : t -> int
 (** Etas in the file. *)
@@ -82,6 +82,8 @@ val btran_unit : t -> int -> float array -> unit
     file runs {!btran}'s dense step. *)
 
 val of_pivot : float array -> int -> int -> eta option
-(** [of_pivot w r m] is the eta of pivoting the dense column [w] (length
-    at least [m]) on row [r], its off-diagonal entries in ascending row
-    order; [None] when E would be the identity (w is already e_r). *)
+(** [of_pivot w r m] is the eta of pivoting the dense column [w] on row
+    [r], its off-diagonal entries (rows below [m]) in ascending row
+    order; [None] when E would be the identity (w is already e_r).
+    Raises [Invalid_argument] unless [0 <= r < Array.length w] and
+    [m <= Array.length w]. *)

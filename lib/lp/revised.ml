@@ -276,16 +276,17 @@ let refactor t =
 (* Pricing and ratio test                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The columns pricing may enter. *)
+(* The columns pricing may enter. Structural columns are never barred,
+   so every nonbasic one is priceable. *)
 let priceable t j = t.allowed.(j) && not t.in_basis.(j)
 
 (* Entering column by reduced cost d_j = c_j − y·A_j, priced out of the
    sparse columns: [dots] (length n_struct) receives y·A_j of every
-   priceable structural column first, unboxed. Dantzig rule (most
+   nonbasic structural column first, unboxed. Dantzig rule (most
    negative) normally; under [bland], the first eligible column — the
    termination backstop after a stall. *)
 let price t y ~cost ~dots ~bland =
-  Csr.dot_rows t.cols y ~keep:(priceable t) dots;
+  Csr.dot_rows t.cols y ~skip:t.in_basis dots;
   let best = ref (-1) and best_d = ref (-.eps_cost) in
   (try
      for j = 0 to t.n_total - 1 do
@@ -719,14 +720,13 @@ let finalize_phase1 t =
      and stays. *)
   let rho = Array.make m 0. in
   let dots = Array.make t.n_struct 0. in
-  let nonbasic j = not t.in_basis.(j) in
   for i = 0 to m - 1 do
     if t.basis.(i) >= t.n_struct then begin
       Eta_file.btran_unit t.etas i rho;
-      Csr.dot_rows t.cols rho ~keep:nonbasic dots;
+      Csr.dot_rows t.cols rho ~skip:t.in_basis dots;
       let best = ref (-1) and best_mag = ref 1e-6 in
       for j = 0 to t.n_struct - 1 do
-        if nonbasic j then begin
+        if not t.in_basis.(j) then begin
           let mag = Float.abs dots.(j) in
           if mag > !best_mag then begin
             best := j;
@@ -967,7 +967,7 @@ let restore_feasibility t ~max_pivots =
     else begin
       let r = !r in
       Eta_file.btran_unit t.etas r rho;
-      Csr.dot_rows t.cols rho ~keep:(priceable t) dots;
+      Csr.dot_rows t.cols rho ~skip:t.in_basis dots;
       let best = ref (-1) and best_a = ref (-.eps_pivot) in
       for j = 0 to t.n_struct - 1 do
         if priceable t j then begin

@@ -137,17 +137,17 @@ let dot_row t i (x : float array) =
   done;
   !acc
 
-let dot_rows t (x : float array) ~keep (out : float array) =
+let dot_rows t (x : float array) ~(skip : bool array) (out : float array) =
   if Array.length x < t.ncols then
     invalid_arg
       (Printf.sprintf "Csr.dot_rows: vector of length %d, %d columns"
          (Array.length x) t.ncols);
-  if Array.length out < t.nrows then
+  if Array.length skip < t.nrows || Array.length out < t.nrows then
     invalid_arg
-      (Printf.sprintf "Csr.dot_rows: output of length %d, %d rows"
-         (Array.length out) t.nrows);
+      (Printf.sprintf "Csr.dot_rows: skip of length %d, output of length %d, %d rows"
+         (Array.length skip) (Array.length out) t.nrows);
   for i = 0 to t.nrows - 1 do
-    if keep i then begin
+    if not (Array.unsafe_get skip i) then begin
       let acc = ref 0. in
       for k = Array.unsafe_get t.row_ptr i to Array.unsafe_get t.row_ptr (i + 1) - 1 do
         acc :=

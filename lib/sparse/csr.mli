@@ -56,13 +56,14 @@ val dot_row : t -> int -> float array -> float
     of the transpose is one column). Raises [Invalid_argument] unless
     [0 <= i < nrows t] and [Array.length x >= ncols t]. *)
 
-val dot_rows : t -> float array -> keep:(int -> bool) -> float array -> unit
-(** [dot_rows t x ~keep out] sets [out.(i)] to [dot_row t i x], bit for
-    bit, for every row [i] with [keep i], leaving the other entries of
-    [out] alone — pricing's pass over every nonbasic column. The sums go
-    straight into [out], so none is boxed, as {!dot_row}'s result is
-    wherever the call is not inlined. Raises [Invalid_argument] when [x]
-    is shorter than [ncols t] or [out] shorter than [nrows t]. *)
+val dot_rows : t -> float array -> skip:bool array -> float array -> unit
+(** [dot_rows t x ~skip out] sets [out.(i)] to [dot_row t i x], bit for
+    bit, for every row [i] where [skip.(i)] is [false], leaving the other
+    entries of [out] alone — pricing's pass over every nonbasic column.
+    The sums go straight into [out], so none is boxed, as {!dot_row}'s
+    result is wherever the call is not inlined. Raises
+    [Invalid_argument] when [x] is shorter than [ncols t], or [skip] or
+    [out] shorter than [nrows t]. *)
 
 val scatter_row : t -> int -> float array -> unit
 (** [scatter_row t i x] adds row [i] of [t] into the dense vector [x]

@@ -572,12 +572,13 @@ let csr_kernels_diff (inp : Markowitz.input) =
   let a = inp.cols in
   let m = Csr.ncols a and n = Csr.nrows a in
   let first = List.find_map Fun.id in
-  let keep j = j mod 5 <> 2 in
+  let skip = Array.init n (fun j -> j mod 5 = 2) in
+  let keep j = not skip.(j) in
   first
     (List.concat_map
        (fun x ->
          let dots = Array.make n nan in
-         Csr.dot_rows a x ~keep dots;
+         Csr.dot_rows a x ~skip dots;
          let expected =
            Array.init n (fun j ->
                if keep j then Legacy_kernels.dot_row a j x else nan)

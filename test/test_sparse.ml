@@ -110,10 +110,13 @@ let test_kernels_reject () =
   raises "scatter_row short vector" (fun () -> Csr.scatter_row m 0 short);
   raises "scatter_row row past the end" (fun () -> Csr.scatter_row m 3 full);
   raises "scatter_row negative row" (fun () -> Csr.scatter_row m (-1) full);
+  let none = Array.make 3 false in
   raises "dot_rows short vector" (fun () ->
-      Csr.dot_rows m short ~keep:(fun _ -> true) (Array.make 3 0.));
+      Csr.dot_rows m short ~skip:none (Array.make 3 0.));
+  raises "dot_rows short skip mask" (fun () ->
+      Csr.dot_rows m full ~skip:(Array.make 2 false) (Array.make 3 0.));
   raises "dot_rows short output" (fun () ->
-      Csr.dot_rows m full ~keep:(fun _ -> true) (Array.make 2 0.));
+      Csr.dot_rows m full ~skip:none (Array.make 2 0.));
   raises "mat_vec short vector" (fun () -> ignore (Csr.mat_vec m short));
   raises "mat_vec long vector" (fun () -> ignore (Csr.mat_vec m (Array.make 5 1.)));
   raises "vec_mat short vector" (fun () -> ignore (Csr.vec_mat [| 1.; 1. |] m));
@@ -122,7 +125,7 @@ let test_kernels_reject () =
      rows it skips alone. *)
   check_float "dot_row long vector" 3. (Csr.dot_row m 0 (Array.make 6 1.));
   let out = [| -1.; -1.; -1. |] in
-  Csr.dot_rows m [| 1.; 2.; 3.; 4. |] ~keep:(fun i -> i <> 1) out;
+  Csr.dot_rows m [| 1.; 2.; 3.; 4. |] ~skip:[| false; true; false |] out;
   check_vec "dot_rows" [| 9.; -1.; 6. |] out
 
 (* ---------------- Stationary ---------------- *)
