@@ -38,7 +38,9 @@ type t
 type stats = {
   refactorizations : int;  (** basis refactorizations over this state's life *)
   pivots : int;
-      (** simplex and feasibility-restoration pivots over this state's life *)
+      (** simplex and feasibility-restoration pivots over this state's
+          life (the phase-1 drive-outs are counted apart, in
+          [revised_artificial_driveouts_total]) *)
   eta_nnz : int;  (** current eta-file nonzeros *)
   solves : int;  (** phase-2 optimizations since the last {!reset} *)
   refactor_stability : int;
