@@ -609,8 +609,8 @@ let check_kernels what inputs =
       let m = Array.length inp.basis in
       let diff =
         match eta_kernels_diff ~stride:8 (extended_file ~extra:24 inp) m with
-        | Some d -> Some d
         | None -> csr_kernels_diff inp
+        | diff -> diff
       in
       Option.iter
         (fun d -> Alcotest.failf "%s, basis %d (%d rows): %s" what n m d)
