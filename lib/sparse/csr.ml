@@ -126,8 +126,10 @@ let check_row t i x what =
       (Printf.sprintf "Csr.%s: vector of length %d, %d columns" what
          (Array.length x) t.ncols)
 
-let dot_row t i (x : float array) =
-  check_row t i x "dot_row";
+(* Row [i] dotted with [x], the terms added in stored order, for a
+   caller that has checked [i] and [x]. Inlined, so no caller boxes the
+   sum. *)
+let[@inline] row_dot t i (x : float array) =
   let acc = ref 0. in
   for k = Array.unsafe_get t.row_ptr i to Array.unsafe_get t.row_ptr (i + 1) - 1 do
     acc :=
@@ -136,6 +138,10 @@ let dot_row t i (x : float array) =
          *. Array.unsafe_get x (Array.unsafe_get t.col_idx k))
   done;
   !acc
+
+let dot_row t i x =
+  check_row t i x "dot_row";
+  row_dot t i x
 
 let dot_rows t (x : float array) ~(skip : bool array) (out : float array) =
   if Array.length x < t.ncols then
@@ -147,16 +153,7 @@ let dot_rows t (x : float array) ~(skip : bool array) (out : float array) =
       (Printf.sprintf "Csr.dot_rows: skip of length %d, output of length %d, %d rows"
          (Array.length skip) (Array.length out) t.nrows);
   for i = 0 to t.nrows - 1 do
-    if not (Array.unsafe_get skip i) then begin
-      let acc = ref 0. in
-      for k = Array.unsafe_get t.row_ptr i to Array.unsafe_get t.row_ptr (i + 1) - 1 do
-        acc :=
-          !acc
-          +. (Array.unsafe_get t.values k
-             *. Array.unsafe_get x (Array.unsafe_get t.col_idx k))
-      done;
-      Array.unsafe_set out i !acc
-    end
+    if not (Array.unsafe_get skip i) then Array.unsafe_set out i (row_dot t i x)
   done
 
 let scatter_row t i (x : float array) =
@@ -175,14 +172,7 @@ let mat_vec t (x : float array) =
   if Array.length x <> t.ncols then invalid_arg "Csr.mat_vec: dim mismatch";
   let y = Array.make t.nrows 0. in
   for i = 0 to t.nrows - 1 do
-    let acc = ref 0. in
-    for k = Array.unsafe_get t.row_ptr i to Array.unsafe_get t.row_ptr (i + 1) - 1 do
-      acc :=
-        !acc
-        +. (Array.unsafe_get t.values k
-           *. Array.unsafe_get x (Array.unsafe_get t.col_idx k))
-    done;
-    Array.unsafe_set y i !acc
+    Array.unsafe_set y i (row_dot t i x)
   done;
   y
 
