@@ -51,9 +51,9 @@ val entry_value : t -> int -> float
 
 val dot_row : t -> int -> float array -> float
 (** [dot_row t i x] is row [i] of [t] dotted with the dense vector [x],
-    the terms added in stored order — the kernel of revised-simplex
-    pricing when [t] stores a constraint matrix column-major (each "row"
-    of the transpose is one column). Raises [Invalid_argument] unless
+    the terms added in stored order — one column of a constraint matrix
+    stored column-major (each "row" of the transpose is one column)
+    against a dual vector. Raises [Invalid_argument] unless
     [0 <= i < nrows t] and [Array.length x >= ncols t]. *)
 
 val dot_rows : t -> float array -> skip:bool array -> float array -> unit
