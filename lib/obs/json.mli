@@ -1,8 +1,9 @@
 (** Minimal JSON values: a parser and a compact printer.
 
     The observability layer emits JSON ({!Export}) and several tools need
-    to read it back — the exporter round-trip tests, and the bench
-    regression gate that diffs two [BENCH_lp.json] files. This module is
+    to read it back — the exporter round-trip tests, the run ledger's
+    readers ([mapqn ledger], [mapqn doctor]), and perfbench, which
+    parses its pass records and compares two suite outputs. This module is
     deliberately small (no streaming, no precise integer type: numbers
     are [float], like the exporters produce) and, like the rest of
     [Mapqn_obs], depends on nothing beyond the standard library. *)

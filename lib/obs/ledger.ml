@@ -33,11 +33,19 @@ let locked f =
     Mutex.unlock lock;
     raise e
 
-(* Provenance: the commit of the running binary's working tree, resolved
-   once per process (a subprocess spawn is far too slow per record).
-   [None] outside a git checkout. The memo has its own mutex — it is
+(* Provenance: the commit of the checkout holding the running binary
+   (dune's _build and perfbench's .bench_build both sit inside it), not
+   of the working directory, resolved once per process (a subprocess
+   spawn is far too slow per record). [None] for a binary outside a git
+   checkout. The directory is taken at start-up, before any [chdir] can
+   move a relative executable name. The memo has its own mutex — it is
    read inside the sink lock but must also be safe for any stray direct
    caller on another domain. *)
+let exe_dir =
+  let exe = Sys.executable_name in
+  Filename.dirname
+    (if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe else exe)
+
 let sha_lock = Mutex.create ()
 let sha_memo : string option option ref = ref None
 
@@ -50,7 +58,10 @@ let git_sha () =
   | None ->
     let v =
       try
-        let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+        let ic =
+          Unix.open_process_in
+            ("git -C " ^ Filename.quote exe_dir ^ " rev-parse HEAD 2>/dev/null")
+        in
         let sha = try String.trim (input_line ic) with End_of_file -> "" in
         match Unix.close_process_in ic with
         | Unix.WEXITED 0 when sha <> "" -> Some sha

@@ -57,12 +57,14 @@ val set_context : string -> Json.t -> unit
 
 val record : event:string -> (string * Json.t) list -> unit
 (** Append one record and flush. Every record carries [event], a wall
-    clock [ts], the process [git_sha] (resolved once, [null] outside a
-    checkout), [seed], then the body. The body merges, in increasing
-    precedence: the sink context, the calling domain's
-    {!Run_ctx.context} overlay, and [fields]. [seed] resolves as
-    [fields] > overlay > the run context's own seed > sink context >
-    [null]. No-op when disabled. *)
+    clock [ts], [git_sha], [seed], then the body. [git_sha] names the
+    checkout holding the executable, whatever the working directory: it
+    is [git -C <directory of Sys.executable_name> rev-parse HEAD],
+    resolved once per process, and [null] for a binary outside a
+    checkout. The body merges, in increasing precedence: the sink
+    context, the calling domain's {!Run_ctx.context} overlay, and
+    [fields]. [seed] resolves as [fields] > overlay > the run context's
+    own seed > sink context > [null]. No-op when disabled. *)
 
 (** {1 Reading} *)
 

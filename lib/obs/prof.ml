@@ -207,28 +207,3 @@ let parse_folded s =
              (match int_of_string_opt value with
              | None -> None
              | Some v -> Some (String.split_on_char ';' stack, v)))
-
-(* ------------------------------------------------------------------ *)
-(* JSON                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let row_json r =
-  Json.Object
-    [
-      ("path", Json.String (String.concat "/" r.path));
-      ("count", Json.Number (float_of_int r.count));
-      ("total_s", Json.Number r.total);
-      ("self_s", Json.Number r.self);
-      ("max_s", Json.Number r.max_);
-      ("minor_words", Json.Number r.minor_words);
-      ("major_words", Json.Number r.major_words);
-      ("promoted_words", Json.Number r.promoted_words);
-    ]
-
-let to_json ?limit rows =
-  let rows =
-    match limit with
-    | Some n when n >= 0 -> List.filteri (fun i _ -> i < n) rows
-    | _ -> rows
-  in
-  Json.List (List.map row_json rows)

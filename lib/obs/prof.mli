@@ -63,6 +63,3 @@ val folded : ?entries:Span.entry list -> unit -> string
 val parse_folded : string -> (string list * int) list
 (** Parse {!folded} output back into (path, self-µs) pairs. Lines that
     do not parse are skipped. *)
-
-val row_json : row -> Json.t
-val to_json : ?limit:int -> row list -> Json.t

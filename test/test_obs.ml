@@ -864,6 +864,55 @@ let test_ledger_crash_resume () =
   Alcotest.(check (list Alcotest.string)) "missing file is empty ledger" []
     (List.map Ledger.event (Ledger.load (tmp ^ ".does-not-exist")))
 
+(* Provenance names the checkout holding the executable, not the working
+   directory. The ledger resolves its SHA once per process, so the probe
+   is a fresh run of this executable, started with [sha_probe_var] set to
+   a directory outside any checkout: it moves there before its first
+   record and writes one record to ledger.jsonl in it. *)
+let sha_probe_var = "MAPQN_TEST_LEDGER_SHA_PROBE"
+
+let run_sha_probe dir =
+  Sys.chdir dir;
+  Ledger.enable_exn ~path:"ledger.jsonl" ();
+  Ledger.record ~event:"probe" [];
+  Ledger.disable ();
+  exit 0
+
+let git_head dir =
+  let ic =
+    Unix.open_process_in
+      ("git -C " ^ Filename.quote dir ^ " rev-parse HEAD 2>/dev/null")
+  in
+  let sha = try String.trim (input_line ic) with End_of_file -> "" in
+  match Unix.close_process_in ic with
+  | Unix.WEXITED 0 when sha <> "" -> Json.String sha
+  | _ -> Json.Null
+
+let test_ledger_sha_names_build () =
+  let dir = Filename.temp_dir "mapqn_sha" "" in
+  let path = Filename.concat dir "ledger.jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists path then Sys.remove path;
+      Sys.rmdir dir)
+  @@ fun () ->
+  Alcotest.(check string) "probe directory outside any checkout" "null"
+    (Json.to_string (git_head dir));
+  let exe = Sys.executable_name in
+  let env = Array.append [| sha_probe_var ^ "=" ^ dir |] (Unix.environment ()) in
+  let pid =
+    Unix.create_process_env exe [| exe |] env Unix.stdin Unix.stdout Unix.stderr
+  in
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "probe process failed");
+  match Ledger.load path with
+  | [ r ] ->
+    Alcotest.(check string) "git_sha of the executable's checkout"
+      (Json.to_string (git_head (Filename.dirname exe)))
+      (Json.to_string (Option.value ~default:Json.Null (Json.member "git_sha" r)))
+  | rs -> Alcotest.failf "expected one probe record, got %d" (List.length rs)
+
 let prop_ledger_jsonl_roundtrip =
   QCheck.Test.make ~name:"ledger: record fields survive the JSONL round-trip"
     ~count:50
@@ -1125,6 +1174,7 @@ let test_load_completed_robust () =
     (Progress.load_completed (tmp ^ ".does-not-exist"))
 
 let () =
+  Option.iter run_sha_probe (Sys.getenv_opt sha_probe_var);
   Alcotest.run "obs"
     [
       ( "metrics",
@@ -1197,6 +1247,8 @@ let () =
             test_ledger_double_enable;
           Alcotest.test_case "crash resume skips torn line" `Quick
             test_ledger_crash_resume;
+          Alcotest.test_case "git_sha names the executable's checkout" `Quick
+            test_ledger_sha_names_build;
           Alcotest.test_case "diff reports known bound delta" `Quick
             test_ledger_diff;
           Alcotest.test_case "doctor tells the fig8 story" `Quick

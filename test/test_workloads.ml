@@ -105,17 +105,27 @@ let test_tandem_shape () =
 (* ---------------- Random_models ---------------- *)
 
 let test_random_models_reproducible () =
-  let a = Random_models.generate_many ~seed:5 3 in
-  let b = Random_models.generate_many ~seed:5 3 in
-  List.iter2
-    (fun (x : Random_models.model) (y : Random_models.model) ->
-      Alcotest.(check (float 0.)) "same scv" x.Random_models.drawn_scv
-        y.Random_models.drawn_scv;
-      Alcotest.(check bool) "same routing" true
-        (Mapqn_linalg.Mat.equal ~rel:0. ~abs:0.
-           (Network.routing x.Random_models.network)
-           (Network.routing y.Random_models.network)))
-    a b
+  let same (x : Random_models.model) (y : Random_models.model) =
+    Alcotest.(check (float 0.)) "same scv" x.Random_models.drawn_scv
+      y.Random_models.drawn_scv;
+    Alcotest.(check bool) "same routing" true
+      (Mapqn_linalg.Mat.equal ~rel:0. ~abs:0.
+         (Network.routing x.Random_models.network)
+         (Network.routing y.Random_models.network))
+  in
+  List.iter2 same
+    (Random_models.generate_many ~seed:5 3)
+    (Random_models.generate_many ~seed:5 3);
+  (* Prefix-stable: n models are the first n of any larger draw from the
+     same seed, so a fleet's first models are those of a smaller one. *)
+  let m = 8 in
+  let long = Random_models.generate_many ~seed:5 m in
+  List.iter
+    (fun n ->
+      List.iter2 same
+        (Random_models.generate_many ~seed:5 n)
+        (List.filteri (fun i _ -> i < n) long))
+    [ 1; 3; m - 1 ]
 
 let test_random_models_structure () =
   let models = Random_models.generate_many ~seed:42 20 in
