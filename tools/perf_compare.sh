@@ -3,24 +3,25 @@
 # commit against the checkout this runs in, both built and measured on
 # the same machine. Run from the root of the checkout:
 #
-#   sh tools/perf_compare.sh BASE [REPS]
+#   sh tools/perf_compare.sh BASE
 #
 # BASE is checked out in a git worktree under .bench_build/compare/.
 # Each side builds its own perf.exe and runs
-# `perf.exe suite --seed 2008 --reps REPS` (REPS defaults to 3) in its
-# own tree; the checkout's `perf.exe compare` then gates the two
-# outputs, .bench_build/compare/{base,cand}.json, against BENCHMARK.json.
+# `perf.exe suite --seed 2008 --reps 3` in its own tree; the checkout's
+# `perf.exe compare` then gates the two outputs,
+# .bench_build/compare/{base,cand}.json, against BENCHMARK.json.
 #
-# Exit 1 when either suite fails its correctness gate (an interval that
-# is uncertified or misses the exact CTMC value) or compare calls a
-# metric regressed. An unresolved compare (a base spread wider than the
-# bound) is reported as a warning. When BASE is empty, names no commit
-# or predates perfbench/, only the checkout's suite runs, for its
-# correctness gate.
+# Exit 1 when the checkout's suite fails its correctness gate (an
+# interval that is uncertified or misses the exact CTMC value) or
+# compare calls a metric regressed; compare also calls any rise of
+# failed_frac over the base a regression. A base that does not build or
+# fails its own correctness gate, and an unresolved compare (a base
+# spread wider than the bound), are reported as warnings. When BASE is
+# empty, names no commit or predates perfbench/, only the checkout's
+# suite runs, for its correctness gate.
 set -u
 
 base=${1:-}
-reps=${2:-3}
 out=$PWD/.bench_build/compare
 src=$out/base-src
 mkdir -p "$out"
@@ -32,7 +33,7 @@ status=0
 suite() {
   (cd "$1" &&
     dune build --root . --display quiet ./perfbench/perf.exe &&
-    ./_build/default/perfbench/perf.exe suite --seed 2008 --reps "$reps" --out "$2")
+    ./_build/default/perfbench/perf.exe suite --seed 2008 --reps 3 --out "$2")
 }
 
 if [ -n "$base" ] &&
@@ -43,8 +44,9 @@ if [ -n "$base" ] &&
   git worktree prune
   git worktree add --detach "$src" "$base" >/dev/null || exit 1
   trap 'git worktree remove --force "$src"' EXIT
-  echo "perf-compare: base $(git rev-parse --short "$base"), $reps rep(s) a side"
-  suite "$src" "$out/base.json" || status=1
+  echo "perf-compare: base $(git rev-parse --short "$base")"
+  suite "$src" "$out/base.json" ||
+    echo "::warning::perf compare: the base's suite did not build or failed its correctness gate"
 else
   echo "perf-compare: no base with perfbench/ to compare against;" \
     "running the correctness gate only"
