@@ -72,8 +72,15 @@ let fig4 () =
     (Mapqn_experiments.Fig4.decomposition_max_error t)
 
 let table1 () =
-  Mapqn_experiments.Table1.print
-    (Mapqn_experiments.Table1.run ~options:Mapqn_experiments.Table1.bench_options ())
+  let t =
+    Mapqn_experiments.Fleet_sweep.run
+      ~options:Mapqn_experiments.Fleet_sweep.table1_bench ()
+  in
+  Mapqn_experiments.Fleet_sweep.print t;
+  if t.Mapqn_experiments.Fleet_sweep.failed <> [] then begin
+    prerr_endline "table1: a model failed";
+    exit 1
+  end
 
 let fig8 () =
   let t = Mapqn_experiments.Fig8.run ~options:Mapqn_experiments.Fig8.bench_options () in
@@ -348,38 +355,39 @@ let ledger_overhead () =
 (* Fleet scaling: sequential vs parallel Table-1 bench slice           *)
 (* ------------------------------------------------------------------ *)
 
-(* The fleet runner's claim: [mapqn table1 --jobs 4] returns bit-identical
-   per-model results to [--jobs 1], and is >= [fleet_min_speedup] faster
-   on a machine with >= 4 cores. The parallel run uses min 4 (recommended
-   domain count) workers — more domains than cores only measures
-   oversubscription — so smaller machines check identity and report,
-   but are not held to, the speedup. *)
+(* The fleet runner's claim: [mapqn table1 --jobs 4] returns
+   bit-identical per-model rows to [--jobs 1] (every field but the
+   wall-clock [duration_s]: bounds, errors, seeds, fingerprints,
+   rescues), and is >= [fleet_min_speedup] faster on a machine with >= 4
+   cores. The parallel run uses min 4 (recommended domain count) workers
+   — more domains than cores only measures oversubscription — so smaller
+   machines check identity and report, but are not held to, the
+   speedup. *)
 let fleet_min_speedup = 2.0
 
 let fleet () =
-  let options = Mapqn_experiments.Table1.bench_options in
-  let timed jobs =
-    lp_timed (fun () ->
-        Mapqn_experiments.Table1.run
-          ~options:{ options with Mapqn_experiments.Table1.jobs } ())
+  let module F = Mapqn_experiments.Fleet_sweep in
+  let options = F.table1_bench in
+  let timed jobs = lp_timed (fun () -> F.run ~options:{ options with F.jobs } ()) in
+  let results (t : F.t) =
+    ( List.map (fun (r : F.model_row) -> { r with F.duration_s = 0. }) t.F.rows,
+      List.map fst t.F.failed )
   in
   let cores = Domain.recommended_domain_count () in
   let jobs = min 4 cores in
   let seq, seq_s = timed 1 in
   let par, par_s = timed jobs in
-  let identical =
-    seq.Mapqn_experiments.Table1.per_model
-    = par.Mapqn_experiments.Table1.per_model
-  in
+  (* [compare], not [=]: a NaN error field equals itself here. *)
+  let identical = compare (results seq) (results par) = 0 in
   let speedup = if par_s > 0. then seq_s /. par_s else 0. in
   Printf.printf
     "table1 bench slice (%d models): --jobs 1 %.2fs, --jobs %d %.2fs — %.2fx \
-     on %d core(s); per-model results %s\n"
-    options.Mapqn_experiments.Table1.models seq_s jobs par_s speedup cores
+     on %d core(s); per-model rows %s\n"
+    options.F.models seq_s jobs par_s speedup cores
     (if identical then "bit-identical" else "DIFFER");
   if not identical then begin
     Printf.eprintf
-      "bench fleet: parallel per-model results differ from sequential\n";
+      "bench fleet: parallel per-model rows differ from sequential\n";
     exit 1
   end;
   if cores >= 4 && speedup < fleet_min_speedup then begin

@@ -271,6 +271,19 @@ let exact_cmd =
 (* bounds                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The report [bounds], [profile] and [trace] evaluate, as one
+   warm-started batch: utilization, throughput and queue length per
+   station, then the response time. *)
+let report_metrics net =
+  List.concat
+    (List.init (Mapqn_model.Network.num_stations net) (fun k ->
+         [
+           Mapqn_core.Bounds.Utilization k;
+           Mapqn_core.Bounds.Throughput k;
+           Mapqn_core.Bounds.Mean_queue_length k;
+         ]))
+  @ [ Mapqn_core.Bounds.Response_time { reference = 0 } ]
+
 let bounds_cmd =
   let sensitivity_arg =
     let doc = "Also print the binding constraints (largest |dual|) of the upper response-time bound." in
@@ -285,18 +298,6 @@ let bounds_cmd =
     | Ok b ->
       let vars, rows = Mapqn_core.Bounds.lp_size b in
       Printf.printf "LP: %d variables, %d rows\n" vars rows;
-      let m = Mapqn_model.Network.num_stations net in
-      (* The whole report is one warm-started batch evaluation. *)
-      let metrics =
-        List.concat
-          (List.init m (fun k ->
-               [
-                 Mapqn_core.Bounds.Utilization k;
-                 Mapqn_core.Bounds.Throughput k;
-                 Mapqn_core.Bounds.Mean_queue_length k;
-               ]))
-        @ [ Mapqn_core.Bounds.Response_time { reference = 0 } ]
-      in
       let name : Mapqn_core.Bounds.metric -> string = function
         | Utilization k -> Printf.sprintf "utilization[%d]" k
         | Throughput k -> Printf.sprintf "throughput[%d]" k
@@ -312,7 +313,7 @@ let bounds_cmd =
               Mapqn_util.Table.float_cell i.Mapqn_core.Bounds.lower;
               Mapqn_util.Table.float_cell i.Mapqn_core.Bounds.upper;
             ])
-          (Mapqn_core.Bounds.eval b metrics)
+          (Mapqn_core.Bounds.eval b (report_metrics net))
       in
       Mapqn_util.Table.print ~header:[ "metric"; "lower"; "upper" ] rows;
       if sensitivity then begin
@@ -454,7 +455,7 @@ let scale_arg =
 (* Sweep progress reporting (Mapqn_obs.Progress): --progress draws a
    status line with an ETA, --heartbeat-out appends one JSONL record per
    model/phase event; the heartbeat file doubles as the resume
-   checkpoint for table1's --resume-from. *)
+   checkpoint for table1's and fleet's --resume-from. *)
 
 let progress_arg =
   let doc =
@@ -478,7 +479,7 @@ let with_progress ~label ~total ~progress ~heartbeat_out f =
       match heartbeat_out with
       | None -> None
       | Some path -> (
-        try Some (open_out_gen [ Open_append; Open_creat ] 0o644 path)
+        try Some (Mapqn_obs.Export.open_append path)
         with Sys_error msg ->
           Printf.eprintf "mapqn: cannot open heartbeat file: %s\n" msg;
           exit 1)
@@ -588,11 +589,16 @@ let resolve_jobs = function
     exit 1
   | None -> Mapqn_fleet.Fleet.default_jobs ()
 
-let resume_skip ?(require_certified = false) ~label resume_from =
+(* Uncertified "done" records don't count as completed: a resumed run
+   retries rescued-but-uncertified models exactly like failed ones
+   (which emit no "done" record at all). *)
+let resume_skip ~label resume_from =
   match resume_from with
   | None -> fun _ -> false
   | Some path ->
-    let done_ = Mapqn_obs.Progress.load_completed ~require_certified path in
+    let done_ =
+      Mapqn_obs.Progress.load_completed ~require_certified:true path
+    in
     if done_ = [] then
       Printf.eprintf "%s: no completed models in %s, running all\n%!" label path
     else
@@ -602,31 +608,74 @@ let resume_skip ?(require_certified = false) ~label resume_from =
     List.iter (fun id -> Hashtbl.replace tbl id ()) done_;
     fun id -> Hashtbl.mem tbl id
 
+(* [mapqn table1] and [mapqn fleet] share this run path: resume from a
+   heartbeat file, stream rows to [out], report progress, print the
+   summary. Returns whether any model failed; the caller exits 1 on it
+   once the telemetry is written. *)
+let run_fleet ~label ~options ~out ~progress ~heartbeat_out ~resume_from =
+  let skip = resume_skip ~label resume_from in
+  (* Row writes come from worker domains; one mutex keeps the JSONL
+     stream record-atomic (same contract as the ledger sink). *)
+  let sink_mutex = Mutex.create () in
+  let sink_oc =
+    match out with
+    | None -> None
+    | Some path -> (
+      try Some (Mapqn_obs.Export.open_append path)
+      with Sys_error msg ->
+        Printf.eprintf "mapqn: cannot open output file: %s\n" msg;
+        exit 1)
+  in
+  let sink =
+    Option.map
+      (fun oc row ->
+        Mutex.lock sink_mutex;
+        Fun.protect
+          ~finally:(fun () -> Mutex.unlock sink_mutex)
+          (fun () ->
+            output_string oc
+              (Mapqn_obs.Json.to_string
+                 (Mapqn_experiments.Fleet_sweep.row_to_json row));
+            output_char oc '\n';
+            flush oc))
+      sink_oc
+  in
+  Fun.protect
+    ~finally:(fun () -> Option.iter close_out sink_oc)
+    (fun () ->
+      with_progress ~label ~total:options.Mapqn_experiments.Fleet_sweep.models
+        ~progress ~heartbeat_out
+      @@ fun p ->
+      let t =
+        Mapqn_experiments.Fleet_sweep.run ~options ?progress:p ~skip ?sink ()
+      in
+      Mapqn_experiments.Fleet_sweep.print t;
+      t.Mapqn_experiments.Fleet_sweep.failed <> [])
+
 let table1_cmd =
   let models_arg =
     Arg.(value & opt (some int) None & info [ "models" ] ~doc:"Number of random models.")
   in
   let run verbose paper_scale models jobs progress heartbeat_out resume_from obs =
     setup_logs verbose;
-    with_telemetry "table1" obs @@ fun () ->
-    let options =
-      if paper_scale then Mapqn_experiments.Table1.default_options
-      else Mapqn_experiments.Table1.bench_options
+    let preset =
+      if paper_scale then Mapqn_experiments.Fleet_sweep.table1_paper
+      else Mapqn_experiments.Fleet_sweep.table1_bench
     in
     let options =
-      match models with
-      | Some m -> { options with Mapqn_experiments.Table1.models = m }
-      | None -> options
+      {
+        preset with
+        Mapqn_experiments.Fleet_sweep.models =
+          Option.value models ~default:preset.Mapqn_experiments.Fleet_sweep.models;
+        jobs = resolve_jobs jobs;
+      }
     in
-    let options =
-      { options with Mapqn_experiments.Table1.jobs = resolve_jobs jobs }
+    let failed =
+      with_telemetry "table1" obs @@ fun () ->
+      run_fleet ~label:"table1" ~options ~out:None ~progress ~heartbeat_out
+        ~resume_from
     in
-    let skip = resume_skip ~label:"table1" resume_from in
-    with_progress ~label:"table1" ~total:options.Mapqn_experiments.Table1.models
-      ~progress ~heartbeat_out
-    @@ fun p ->
-    Mapqn_experiments.Table1.print
-      (Mapqn_experiments.Table1.run ~options ?progress:p ~skip ())
+    if failed then exit 1
   in
   Cmd.v
     (Cmd.info "table1" ~doc:"Table 1: bound accuracy on random models")
@@ -716,7 +765,6 @@ let fleet_cmd =
   let run verbose models stations map_stations populations jobs seed config
       exact_upto accept_uncertified out progress heartbeat_out resume_from obs =
     setup_logs verbose;
-    with_telemetry "fleet" obs @@ fun () ->
     let populations =
       match parse_populations populations with
       | Ok l -> l
@@ -747,46 +795,12 @@ let fleet_cmd =
           };
       }
     in
-    (* Uncertified "done" records don't count as completed: a resumed
-       fleet retries rescued-but-uncertified models exactly like failed
-       ones (which emit no "done" record at all). *)
-    let skip = resume_skip ~require_certified:true ~label:"fleet" resume_from in
-    (* Row writes come from worker domains; one mutex keeps the JSONL
-       stream record-atomic (same contract as the ledger sink). *)
-    let sink_mutex = Mutex.create () in
-    let sink_oc =
-      match out with
-      | None -> None
-      | Some path -> (
-        try Some (open_out_gen [ Open_append; Open_creat ] 0o644 path)
-        with Sys_error msg ->
-          Printf.eprintf "mapqn: cannot open output file: %s\n" msg;
-          exit 1)
+    let failed =
+      with_telemetry "fleet" obs @@ fun () ->
+      run_fleet ~label:"fleet" ~options ~out ~progress ~heartbeat_out
+        ~resume_from
     in
-    let sink =
-      Option.map
-        (fun oc row ->
-          Mutex.lock sink_mutex;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock sink_mutex)
-            (fun () ->
-              output_string oc
-                (Mapqn_obs.Json.to_string
-                   (Mapqn_experiments.Fleet_sweep.row_to_json row));
-              output_char oc '\n';
-              flush oc))
-        sink_oc
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter close_out sink_oc)
-      (fun () ->
-        with_progress ~label:"fleet" ~total:models ~progress ~heartbeat_out
-        @@ fun p ->
-        let t =
-          Mapqn_experiments.Fleet_sweep.run ~options ?progress:p ~skip ?sink ()
-        in
-        Mapqn_experiments.Fleet_sweep.print t;
-        if t.Mapqn_experiments.Fleet_sweep.failed <> [] then exit 1)
+    if failed then exit 1
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -904,19 +918,7 @@ let profile_cmd =
        | Error e ->
          Printf.eprintf "profile: %s\n" (Mapqn_core.Bounds.error_to_string e);
          exit 1
-       | Ok b ->
-         let m = Mapqn_model.Network.num_stations net in
-         let metrics =
-           List.concat
-             (List.init m (fun k ->
-                  [
-                    Mapqn_core.Bounds.Utilization k;
-                    Mapqn_core.Bounds.Throughput k;
-                    Mapqn_core.Bounds.Mean_queue_length k;
-                  ]))
-           @ [ Mapqn_core.Bounds.Response_time { reference = 0 } ]
-         in
-         ignore (Mapqn_core.Bounds.eval b metrics)));
+       | Ok b -> ignore (Mapqn_core.Bounds.eval b (report_metrics net))));
     let wall = Mapqn_obs.Span.now () -. wall0 in
     Mapqn_obs.Prof.disable ();
     let rows = Mapqn_obs.Prof.attribution () in
@@ -1047,19 +1049,7 @@ let trace_cmd =
     | Error e ->
       Printf.eprintf "trace: %s\n" (Mapqn_core.Bounds.error_to_string e);
       exit 1
-    | Ok b ->
-      let m = Mapqn_model.Network.num_stations net in
-      let metrics =
-        List.concat
-          (List.init m (fun k ->
-               [
-                 Mapqn_core.Bounds.Utilization k;
-                 Mapqn_core.Bounds.Throughput k;
-                 Mapqn_core.Bounds.Mean_queue_length k;
-               ]))
-        @ [ Mapqn_core.Bounds.Response_time { reference = 0 } ]
-      in
-      ignore (Mapqn_core.Bounds.eval b metrics));
+    | Ok b -> ignore (Mapqn_core.Bounds.eval b (report_metrics net)));
     Mapqn_obs.Trace.record
       (Mapqn_obs.Trace.Mark { name = "trace.stop"; detail = "bounds eval" });
     match Mapqn_obs.Trace.current () with

@@ -905,32 +905,31 @@ module Sweep = struct
       pivots = w.Revised.pivots;
     }
 
-  let run ?progress ?seed ?skip ?(label = Printf.sprintf "N=%d") s ~populations
-      ~f =
-    List.filter_map
+  let run ?progress s ~populations ~f =
+    let report g = Option.iter g progress in
+    List.map
       (fun population ->
-        let lbl = label population in
-        match skip with
-        | Some should_skip when should_skip lbl ->
-          Option.iter (fun p -> Mapqn_obs.Progress.skip p ?seed lbl) progress;
-          None
-        | _ ->
-          Option.iter (fun p -> Mapqn_obs.Progress.start p ?seed lbl) progress;
-          let phase name =
-            Option.iter (fun p -> Mapqn_obs.Progress.phase p name) progress
-          in
-          let memo = ref None in
-          let bounds () =
-            match !memo with
-            | Some b -> b
-            | None ->
-              phase "bounds";
-              let b = step_exn s population in
-              memo := Some b;
-              b
-          in
-          let result = f ~phase ~bounds population in
-          Option.iter Mapqn_obs.Progress.finish progress;
-          Some (population, result))
+        let id = Printf.sprintf "N=%d" population in
+        let t0 = Mapqn_obs.Span.now () in
+        report (fun p -> Mapqn_obs.Progress.task_start p id);
+        let phase name =
+          report (fun p -> Mapqn_obs.Progress.task_phase p ~id name)
+        in
+        let memo = ref None in
+        let bounds () =
+          match !memo with
+          | Some b -> b
+          | None ->
+            phase "bounds";
+            let b = step_exn s population in
+            memo := Some b;
+            b
+        in
+        let result = f ~phase ~bounds population in
+        report (fun p ->
+            Mapqn_obs.Progress.task_done p
+              ~elapsed:(Mapqn_obs.Span.now () -. t0)
+              id);
+        (population, result))
       populations
 end

@@ -260,20 +260,18 @@ module Sweep : sig
 
   val run :
     ?progress:Mapqn_obs.Progress.t ->
-    ?seed:int ->
-    ?skip:(string -> bool) ->
-    ?label:(int -> string) ->
     t ->
     populations:int list ->
     f:(phase:(string -> unit) -> bounds:(unit -> bounds) -> int -> 'a) ->
     (int * 'a) list
   (** Drive a whole sweep, folding in the progress wiring the
-      experiment runners used to duplicate: one progress model per
-      population (id [label population], default ["N=<n>"]), [phase]
-      forwarding, skip/resume support ([skip id] consults e.g.
-      {!Mapqn_obs.Progress.load_completed} ids and skipped populations
-      are reported and omitted from the result), and lazy stepping —
-      [f]'s [bounds] thunk runs {!step_exn} under a ["bounds"] phase on
-      first use, so [f] chooses where in its phase sequence the LP work
-      happens. Returns [(population, f result)] in sweep order. *)
+      experiment runners used to duplicate: each population is one
+      progress task (id ["N=<n>"]) reported with
+      {!Mapqn_obs.Progress.task_start}, [phase] forwarded as
+      {!Mapqn_obs.Progress.task_phase} and closed by
+      {!Mapqn_obs.Progress.task_done} with the population's own wall
+      time. Stepping is lazy: [f]'s [bounds] thunk runs {!step_exn}
+      under a ["bounds"] phase on first use, so [f] chooses where in its
+      phase sequence the LP work happens. Returns
+      [(population, f result)] in sweep order. *)
 end

@@ -1,17 +1,15 @@
-(* Fleet-scale random-model sweeps (mapqn fleet).
+(* Random-model fleet sweeps: the paper's Table 1 ([mapqn table1]) and
+   its fleet-scale generalization ([mapqn fleet]).
 
-   Table 1 at its paper scale — 10,000 models — and beyond-paper
+   Table 1 at its paper scale (10,000 models) and beyond-paper
    configurations (4-5 queues, populations to 1000) are bounds-only
    territory: the exact CTMC that Table 1 compares against is what
    limits that experiment to small grids, while the LP bounds themselves
    scale. This experiment shards per-model [Bounds.Sweep]s across a
    {!Mapqn_fleet} domain pool, streams one row per model to an optional
-   sink (the CLI writes JSONL), and keeps the exact comparison as an
-   opt-in for populations below a threshold.
-
-   Model generation stays sequential on the calling domain (see
-   {!Table1.run} — it is microseconds per model and keeps the model set
-   bit-identical across [jobs] values). *)
+   sink (the CLI writes JSONL), and keeps the exact comparison for
+   populations up to a threshold (every population, in the Table-1
+   presets). *)
 
 module Random_models = Mapqn_workloads.Random_models
 module Bounds = Mapqn_core.Bounds
@@ -40,6 +38,17 @@ let default_options =
     jobs = 1;
     exact_upto = 0;
     accept_uncertified = false;
+  }
+
+let table1_bench =
+  { default_options with models = 12; populations = [ 1; 2; 4; 8 ]; exact_upto = 8 }
+
+let table1_paper =
+  {
+    table1_bench with
+    models = 50;
+    populations = [ 1; 2; 4; 8; 16; 32 ];
+    exact_upto = 32;
   }
 
 type model_row = {
@@ -155,6 +164,10 @@ let run ?(options = default_options) ?progress ?(skip = fun _ -> false) ?sink
   Mapqn_obs.Ledger.set_context "seed"
     (Mapqn_obs.Json.Number (float_of_int options.seed));
   let t0 = Mapqn_obs.Span.now () in
+  (* Generation stays sequential on this domain even when evaluation
+     fans out: one PRNG stream keeps the model set identical across
+     [jobs] values, and skipping a model by id leaves the others as in a
+     full run. *)
   let models =
     Array.of_list
       (Random_models.generate_many ~spec:options.spec ~seed:options.seed
@@ -185,11 +198,11 @@ let run ?(options = default_options) ?progress ?(skip = fun _ -> false) ?sink
       (fun acc -> function Fleet.Skipped -> acc + 1 | _ -> acc)
       0 outcomes
   in
-  (* Unlike {!Table1.run} this does not raise on a failed model: at
-     fleet scale a handful of numerically hard random models (an LP
-     certificate beyond tolerance at a large population) must not cost
-     the summary of the other ten thousand. Failures are reported — and,
-     emitting no "done" heartbeat, retried by a resumed run. *)
+  (* A failed model does not abort the run: at fleet scale a handful of
+     numerically hard random models (an LP certificate beyond tolerance
+     at a large population) must not cost the summary of the other ten
+     thousand. Failures are reported — and, emitting no "done"
+     heartbeat, retried by a resumed run. *)
   let failed =
     Array.to_list outcomes
     |> List.mapi (fun index o -> (index, o))

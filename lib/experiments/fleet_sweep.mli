@@ -1,17 +1,23 @@
-(** Fleet-scale random-model sweeps ([mapqn fleet]).
+(** Random-model fleet sweeps: the paper's Table 1 and [mapqn fleet].
 
-    The paper's full Table 1 (10,000 random models) and beyond-paper
-    configurations (4-5 queues, populations to 1000) at fleet speed:
-    per-model {!Mapqn_core.Bounds.Sweep}s sharded across a
-    {!Mapqn_fleet} domain pool, with the exact-CTMC comparison an
-    opt-in for small populations ([exact_upto]) since exact solves —
-    not the LP bounds — are what make paper-scale grids infeasible.
+    Table 1 is the distribution, over random 3-queue MAP(2) networks,
+    of the maximal relative error of the response-time bounds against
+    the exact solution over a population grid: the paper's four
+    statistics (mean, std dev, median, max) for the upper bound [R_max]
+    (from [X_min]) and the lower bound [R_min] (from [X_max]). The same
+    sweep scales to the paper's 10,000 models and beyond (4-5 queues,
+    populations to 1000): per-model {!Mapqn_core.Bounds.Sweep}s sharded
+    across a {!Mapqn_fleet} domain pool, with the exact-CTMC comparison
+    an opt-in for small populations ([exact_upto]), since exact solves,
+    not the LP bounds, are what make paper-scale grids infeasible.
 
-    Determinism, checkpointing and per-model seeds follow
-    {!Table1.run}: models are generated sequentially from [seed], each
-    model evaluates under a run context seeded with
-    [Fleet.task_seed ~seed index], and a progress reporter's heartbeat
-    file doubles as the resume checkpoint. *)
+    Models are generated sequentially from [seed] on the calling domain
+    (microseconds per model against milliseconds to seconds of LP work),
+    and each model evaluates under a run context seeded with
+    [Fleet.task_seed ~seed index]; so the model set, every row (but its
+    [duration_s]) and every ledger record body are bit-identical for
+    every [jobs] value. A progress reporter's heartbeat file doubles as
+    the resume checkpoint. *)
 
 type options = {
   spec : Mapqn_workloads.Random_models.spec;
@@ -34,6 +40,18 @@ type options = {
 val default_options : options
 (** 100 models, populations [1;2;4;8;16;32;64;100], [full] constraints,
     seed 2008, 1 job, no exact comparison, uncertified results fail. *)
+
+val table1_bench : options
+(** Table 1 at bench scale: 12 models, populations [1;2;4;8], [full]
+    constraints, seed 2008, 1 job, exact comparison at every
+    population. *)
+
+val table1_paper : options
+(** Table 1 as [--paper-scale] runs it: 50 models, populations
+    [1;2;4;8;16;32], otherwise as {!table1_bench}. The paper runs 10,000
+    models over every population 1..100; the exact CTMC limits this
+    preset's grid, and the statistics estimate the same population
+    quantities (EXPERIMENTS.md). *)
 
 type model_row = {
   index : int;
@@ -73,8 +91,6 @@ type t = {
   rmin_stats : float * float * float * float;
 }
 
-val model_id : int -> string
-
 val run :
   ?options:options ->
   ?progress:Mapqn_obs.Progress.t ->
@@ -85,9 +101,13 @@ val run :
 (** Evaluate the fleet. [sink] receives each row on the worker domain
     that produced it, as soon as it completes — stream large runs to
     disk instead of accumulating; the callback must be thread-safe.
-    [skip]/[progress] as in {!Table1.run}. Per-model failures land in
-    [failed] rather than aborting the run (unlike {!Table1.run}, which
-    raises: its statistics are meaningless on a partial model set). *)
+    [progress], when given, receives one task per model (id
+    ["model-NNNNN"], one phase per population). [skip id] (default never)
+    excludes a model: generation is deterministic in [seed], so the ids
+    a previous run's heartbeat file marks done
+    ({!Mapqn_obs.Progress.load_completed}) resume a partial sweep, and
+    the statistics then cover the models evaluated this run. Per-model
+    failures land in [failed] rather than aborting the run. *)
 
 val row_to_json : model_row -> Mapqn_obs.Json.t
 (** The row as one self-describing JSONL object (the CLI's [--out]

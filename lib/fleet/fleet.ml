@@ -183,8 +183,3 @@ let run_tasks ?jobs ?(chunk = 1) ?progress ?(skip = fun _ -> false)
   in
   map ?jobs ~chunk (fun _ t -> t ()) (Array.init total task)
   |> Array.map (function Ok o -> o | Error e -> Failed e)
-
-let first_failure outcomes =
-  Array.fold_left
-    (fun acc o -> match (acc, o) with None, Failed e -> Some e | _ -> acc)
-    None outcomes

@@ -95,6 +95,3 @@ val run_tasks :
     [Progress.load_completed ~require_certified:true] retries the task
     just like a failure. The result array is in task order regardless of
     scheduling. *)
-
-val first_failure : 'a outcome array -> exn option
-(** The lowest-index [Failed] exception, if any. *)

@@ -266,8 +266,6 @@ let refactor t =
           t.worst_infeas);
   t.base_eta_nnz <- Eta_file.nnz t.etas;
   Metrics.set m_eta_nnz (float_of_int (Eta_file.nnz t.etas));
-  Health.observe_refactor ~growth:lu.Markowitz.growth
-    ~min_pivot:lu.Markowitz.min_pivot ~max_pivot:lu.Markowitz.max_pivot;
   if Trace.is_enabled () then
     Trace.record
       (Trace.Refactor { solver = "revised"; eta_nnz = Eta_file.nnz t.etas })
@@ -1308,27 +1306,6 @@ let optimize_unspanned ?max_iter (t : t) direction objective =
       Array.blit t.rhs_pert 0 x_wit 0 t.m;
       Eta_file.ftran t.etas x_wit
     end;
-    (* Cheap one-sided condition estimate of the final basis:
-       ‖B‖₁ · ‖B⁻¹·1‖∞ ≤ ‖B‖₁‖B⁻¹‖∞ = cond(B) up to the norm mismatch.
-       One pass over the basic columns plus one FTRAN of the ones
-       vector — O(nnz(B) + eta nnz) per solve, never per pivot. *)
-    (let norm1 = ref 0. in
-     for i = 0 to t.m - 1 do
-       let c = t.basis.(i) in
-       let s = ref 0. in
-       if c < t.n_struct then
-         Csr.iter_row t.cols c (fun _ v -> s := !s +. Float.abs v)
-       else s := 1.;
-       if !s > !norm1 then norm1 := !s
-     done;
-     let z = Array.make t.m 1. in
-     Eta_file.ftran t.etas z;
-     let ninf = ref 0. in
-     for i = 0 to t.m - 1 do
-       let a = Float.abs z.(i) in
-       if a > !ninf then ninf := a
-     done;
-     Health.observe_condition (!norm1 *. !ninf));
     (* Exact basic values at the final basis: x = B⁻¹ b with the true
        right-hand side, keeping reported point and objective free of the
        anti-degeneracy perturbation. *)

@@ -17,9 +17,10 @@ let span_path path = String.concat "/" path
 (* Table                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Minimal column alignment; Mapqn_util.Table is not used because this
-   library sits below util in the dependency order (util itself may one
-   day be instrumented). *)
+(* Minimal column alignment, shared by the table renderer, the ledger's
+   summaries and the profile attribution table; Mapqn_util.Table is not
+   used because this library sits below util in the dependency order
+   (util itself may one day be instrumented). *)
 let aligned rows =
   let widths =
     List.fold_left
@@ -348,3 +349,25 @@ let write_file path contents =
       (fun () -> output_string oc contents)
       ~finally:(fun () -> close_out oc)
   end
+
+(* A killed writer may have torn the final line without its newline;
+   appending straight after would garble the first new record into the
+   torn one. Resume on a fresh line instead. *)
+let open_append path =
+  let torn_tail =
+    Sys.file_exists path
+    && (try
+          let ic = open_in_bin path in
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () ->
+              let len = in_channel_length ic in
+              len > 0
+              &&
+              (seek_in ic (len - 1);
+               input_char ic <> '\n'))
+        with _ -> false)
+  in
+  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+  if torn_tail then output_char oc '\n';
+  oc

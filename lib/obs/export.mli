@@ -42,3 +42,14 @@ val prometheus : metrics:Metrics.sample list -> spans:Span.entry list -> string
 
 val write_file : string -> string -> unit
 (** [write_file path contents] — ["-"] writes to stdout. *)
+
+val aligned : string list list -> string
+(** Rows of cells as columns two spaces apart, one line per row, every
+    column but the last padded to its widest cell. *)
+
+val open_append : string -> out_channel
+(** [open_append path] opens [path] for appending JSONL records,
+    creating it if needed. When the file ends in a torn line (a killed
+    writer's last record without its newline), a newline goes first, so
+    the next record starts on a line of its own. Raises [Sys_error] as
+    [open_out_gen] does. *)

@@ -1,12 +1,13 @@
 (* Numerical-stability telemetry for the LP layers.
 
    The revised simplex and the certificate checker report what their
-   numerics looked like — LU growth factor and pivot magnitudes per
-   refactorization, eta-chain drift sampled on the reinversion triggers,
-   degeneracy streaks, perturbation-ladder depth, a per-solve condition
-   estimate and the certificate residual triple — into one module that
-   (a) mirrors everything into the {!Metrics} registry and (b) keeps a
-   per-solve snapshot the run ledger embeds in each record.
+   numerics looked like — eta-chain drift sampled on the reinversion
+   triggers, degeneracy streaks, perturbation-ladder depth, rescue rungs,
+   refinement residuals and the certificate residual triple — into one
+   module that (a) mirrors everything into the {!Metrics} registry and
+   (b) keeps a per-solve snapshot the run ledger embeds in each record.
+   A field stays only while something reads it: [mapqn doctor], the
+   corpus tests or perfbench.
 
    The snapshot lives in the current {!Run_ctx} (one typed slot per
    context) rather than a process global, so two domains evaluating
@@ -14,9 +15,9 @@
    Metrics mirrors stay process-wide (the registry is itself
    mutex-guarded and gauges are last-writer-wins by design).
 
-   Observers are called from hot-adjacent code (once per
-   refactorization / drift check / solve, never per pivot), so plain
-   mutation under one mutex is cheap enough. *)
+   Observers are called from hot-adjacent code (once per drift check /
+   stall / solve, never per pivot), so plain mutation under one mutex is
+   cheap enough. *)
 
 type rescue = Refined | Reperturbed | Cold_resolve | Dense_oracle | Uncertified
 
@@ -48,16 +49,10 @@ let rescue_of_string = function
   | _ -> None
 
 type snapshot = {
-  lu_growth : float;
-  lu_min_pivot : float;
-  lu_max_pivot : float;
-  refactorizations : int;
   eta_drift : float;
-  drift_samples : int;
   degeneracy_streak : int;
   bland_switches : int;
   perturbation_salt : int;
-  condition_estimate : float;
   cert_primal : float;
   cert_dual : float;
   cert_comp : float;
@@ -68,16 +63,10 @@ type snapshot = {
 
 let empty =
   {
-    lu_growth = 0.;
-    lu_min_pivot = 0.;
-    lu_max_pivot = 0.;
-    refactorizations = 0;
     eta_drift = 0.;
-    drift_samples = 0;
     degeneracy_streak = 0;
     bland_switches = 0;
     perturbation_salt = 0;
-    condition_estimate = 0.;
     cert_primal = 0.;
     cert_dual = 0.;
     cert_comp = 0.;
@@ -111,21 +100,6 @@ let locked st f =
    numerics look like right now); the snapshot keeps worst-since-reset
    so a ledger record summarizes its whole solve. *)
 
-let g_growth =
-  Metrics.gauge
-    ~help:"LU element growth factor of the last basis refactorization."
-    "health_lu_growth_factor"
-
-let g_min_pivot =
-  Metrics.gauge
-    ~help:"Smallest |pivot| accepted by the last basis refactorization."
-    "health_lu_min_pivot"
-
-let g_max_pivot =
-  Metrics.gauge
-    ~help:"Largest |pivot| accepted by the last basis refactorization."
-    "health_lu_max_pivot"
-
 let g_drift =
   Metrics.gauge
     ~help:
@@ -148,13 +122,6 @@ let g_salt =
     ~help:"Deepest anti-degeneracy perturbation salt reached (high-water mark)."
     "health_perturbation_salt_depth"
 
-let g_cond =
-  Metrics.gauge
-    ~help:
-      "Condition estimate of the final basis of the last solve (a cheap \
-       one-sided bound)."
-    "health_condition_estimate"
-
 let begin_solve () =
   let st = state () in
   locked st (fun () -> st.cur <- empty)
@@ -167,29 +134,9 @@ let update f =
   let st = state () in
   locked st (fun () -> st.cur <- f st.cur)
 
-let observe_refactor ~growth ~min_pivot ~max_pivot =
-  Metrics.set g_growth growth;
-  Metrics.set g_min_pivot min_pivot;
-  Metrics.set g_max_pivot max_pivot;
-  update (fun c ->
-      {
-        c with
-        lu_growth = Float.max c.lu_growth growth;
-        lu_min_pivot =
-          (if c.refactorizations = 0 then min_pivot
-           else Float.min c.lu_min_pivot min_pivot);
-        lu_max_pivot = Float.max c.lu_max_pivot max_pivot;
-        refactorizations = c.refactorizations + 1;
-      })
-
 let observe_drift drift =
   Metrics.set g_drift drift;
-  update (fun c ->
-      {
-        c with
-        eta_drift = Float.max c.eta_drift drift;
-        drift_samples = c.drift_samples + 1;
-      })
+  update (fun c -> { c with eta_drift = Float.max c.eta_drift drift })
 
 let observe_degeneracy_streak streak =
   Metrics.set_max g_streak (float_of_int streak);
@@ -206,11 +153,6 @@ let observe_salt salt =
   update (fun c ->
       if salt > c.perturbation_salt then { c with perturbation_salt = salt }
       else c)
-
-let observe_condition estimate =
-  Metrics.set g_cond estimate;
-  update (fun c ->
-      { c with condition_estimate = Float.max c.condition_estimate estimate })
 
 let c_rescue_refined =
   Metrics.counter
@@ -278,16 +220,10 @@ let to_json s =
   let int v = Json.Number (float_of_int v) in
   Json.Object
     [
-      ("lu_growth", num s.lu_growth);
-      ("lu_min_pivot", num s.lu_min_pivot);
-      ("lu_max_pivot", num s.lu_max_pivot);
-      ("refactorizations", int s.refactorizations);
       ("eta_drift", num s.eta_drift);
-      ("drift_samples", int s.drift_samples);
       ("degeneracy_streak", int s.degeneracy_streak);
       ("bland_switches", int s.bland_switches);
       ("perturbation_salt", int s.perturbation_salt);
-      ("condition_estimate", num s.condition_estimate);
       ( "rescue",
         match s.rescue with
         | None -> Json.Null

@@ -1,11 +1,12 @@
 (** Numerical-stability telemetry for the LP layers.
 
     The revised simplex and the certificate checker report their
-    numerical health here: LU growth factor and pivot magnitudes per
-    refactorization, eta-chain residual drift sampled on the reinversion
-    triggers, degeneracy streaks and Bland switches, the depth of the
-    anti-degeneracy perturbation ladder, a per-solve condition estimate
-    and the certificate residual triple.
+    numerical health here: eta-chain residual drift sampled on the
+    reinversion triggers, degeneracy streaks and Bland switches, the
+    depth of the anti-degeneracy perturbation ladder, the rescue rung,
+    the refinement residual and the certificate residual triple. Each
+    snapshot field has a reader: [mapqn doctor] ({!Ledger.doctor}), the
+    corpus tests' cause attribution, or perfbench's rescue counters.
 
     Every observation is mirrored twice: into the {!Metrics} registry
     (gauges carry the last observation, [*_peak]/[*_depth] gauges the
@@ -20,8 +21,8 @@
     ({!Run_ctx.with_}, as the fleet runner arranges). The Metrics
     mirrors remain process-wide last-writer-wins gauges.
 
-    Thread-safe; observers are called once per refactorization, drift
-    check or solve — never on the per-pivot path. *)
+    Thread-safe; observers are called once per drift check, stall or
+    solve — never on the per-pivot path. *)
 
 type rescue = Refined | Reperturbed | Cold_resolve | Dense_oracle | Uncertified
 (** The rung of the certificate rescue ladder that produced (or failed
@@ -43,21 +44,12 @@ val rescue_to_string : rescue -> string
 val rescue_of_string : string -> rescue option
 
 type snapshot = {
-  lu_growth : float;
-      (** worst LU element growth factor over the refactorizations of
-          this solve (max |factor entry| / max |basis entry|) *)
-  lu_min_pivot : float;  (** smallest |pivot| accepted by any of them *)
-  lu_max_pivot : float;  (** largest |pivot| accepted by any of them *)
-  refactorizations : int;  (** refactorizations observed this solve *)
   eta_drift : float;
       (** worst sampled divergence of incrementally updated basic values
           from a fresh FTRAN of the right-hand side *)
-  drift_samples : int;  (** drift checks performed this solve *)
   degeneracy_streak : int;  (** longest degenerate-pivot streak *)
   bland_switches : int;  (** stalls that forced Bland's rule *)
   perturbation_salt : int;  (** deepest perturbation-ladder salt *)
-  condition_estimate : float;
-      (** worst per-solve condition estimate of a final basis *)
   cert_primal : float;  (** worst certificate primal residual *)
   cert_dual : float;  (** worst certificate dual violation *)
   cert_comp : float;  (** worst certificate complementary-slackness gap *)
@@ -83,12 +75,10 @@ val current : unit -> snapshot
 
 (** {1 Observers} — called by the instrumented layers. *)
 
-val observe_refactor : growth:float -> min_pivot:float -> max_pivot:float -> unit
 val observe_drift : float -> unit
 val observe_degeneracy_streak : int -> unit
 val observe_stall : unit -> unit
 val observe_salt : int -> unit
-val observe_condition : float -> unit
 
 val observe_certificate :
   primal:float -> dual:float -> comp:float -> accepted:bool -> unit

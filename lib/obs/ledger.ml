@@ -107,29 +107,9 @@ let enable ?(context = []) ~path () =
             close_out s.oc
           with _ -> ())
         | None -> ());
+        (* Should the open raise, the sink stays disabled. *)
         current := None;
-        (* A killed writer may have torn the final line without its
-           newline; appending straight after would garble the first new
-           record into the torn one. Resume on a fresh line instead. *)
-        let torn_tail =
-          Sys.file_exists path
-          && (try
-                let ic = open_in_bin path in
-                Fun.protect
-                  ~finally:(fun () -> close_in_noerr ic)
-                  (fun () ->
-                    let len = in_channel_length ic in
-                    len > 0
-                    &&
-                    (seek_in ic (len - 1);
-                     input_char ic <> '\n'))
-              with _ -> false)
-        in
-        let oc =
-          open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
-        in
-        if torn_tail then output_char oc '\n';
-        current := Some { oc; lpath = path; context };
+        current := Some { oc = Export.open_append path; lpath = path; context };
         Ok ())
 
 let enable_exn ?context ~path () =
@@ -253,32 +233,6 @@ let event r = str "event" r
 (* Summaries (mapqn ledger FILE)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let aligned rows =
-  let widths =
-    List.fold_left
-      (fun ws row ->
-        List.mapi
-          (fun i cell ->
-            let prev = try List.nth ws i with _ -> 0 in
-            max prev (String.length cell))
-          row)
-      [] rows
-  in
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun row ->
-      List.iteri
-        (fun i cell ->
-          if i > 0 then Buffer.add_string buf "  ";
-          Buffer.add_string buf cell;
-          if i < List.length row - 1 then
-            Buffer.add_string buf
-              (String.make (List.nth widths i - String.length cell) ' '))
-        row;
-      Buffer.add_char buf '\n')
-    rows;
-  Buffer.contents buf
-
 let summarize records =
   let row i r =
     let n = population r in
@@ -301,7 +255,7 @@ let summarize records =
       | sha -> String.sub sha 0 (min 8 (String.length sha)));
     ]
   in
-  aligned
+  Export.aligned
     ([ "#"; "event"; "N"; "solver"; "duration"; "pivots"; "primal res"; "commit" ]
     :: List.mapi row records)
 
@@ -418,7 +372,7 @@ let render_diff report =
            ])
          report.matched
   in
-  Buffer.add_string buf (aligned rows);
+  Buffer.add_string buf (Export.aligned rows);
   if report.only_a > 0 || report.only_b > 0 then
     Buffer.add_string buf
       (Printf.sprintf "unmatched records: %d only in A, %d only in B\n"
@@ -612,7 +566,7 @@ let doctor ?(tol_primal = 1e-5) ?(tol_dual = 1e-6) ?(tol_comp = 1e-6) records =
 let render_findings findings =
   if findings = [] then "doctor: no findings — ledger looks healthy\n"
   else
-    aligned
+    Export.aligned
       ([ "severity"; "code"; "where"; "detail" ]
       :: List.map
            (fun f ->

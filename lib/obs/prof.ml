@@ -120,32 +120,6 @@ let words w =
   else if Float.abs w >= 1e3 then Printf.sprintf "%.1fk" (w /. 1e3)
   else Printf.sprintf "%.0f" w
 
-let aligned rows =
-  let widths =
-    List.fold_left
-      (fun ws row ->
-        List.mapi
-          (fun i cell ->
-            let prev = try List.nth ws i with _ -> 0 in
-            max prev (String.length cell))
-          row)
-      [] rows
-  in
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun row ->
-      List.iteri
-        (fun i cell ->
-          if i > 0 then Buffer.add_string buf "  ";
-          Buffer.add_string buf cell;
-          if i < List.length row - 1 then
-            Buffer.add_string buf
-              (String.make (List.nth widths i - String.length cell) ' '))
-        row;
-      Buffer.add_char buf '\n')
-    rows;
-  Buffer.contents buf
-
 let render_table ?limit rows =
   let shown, hidden =
     match limit with
@@ -167,7 +141,7 @@ let render_table ?limit rows =
            ])
          shown
   in
-  let table = aligned cells in
+  let table = Export.aligned cells in
   if hidden = 0 then table
   else Printf.sprintf "%s(+ %d more phases)\n" table hidden
 

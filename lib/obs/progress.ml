@@ -7,12 +7,9 @@
    One mutex guards all mutable state AND the console/heartbeat
    rendering: fleet workers on different domains report through the same
    reporter, and without the lock their heartbeats would interleave
-   mid-record and the TTY line would tear. The classic
-   [start]/[phase]/[finish] lifecycle keys on an implicit "current"
-   model and only suits one reporter per worker; concurrent workers use
-   the [task_*] entry points, which carry the model id explicitly so a
-   "done" heartbeat can never be attributed to whichever model another
-   worker started last. *)
+   mid-record and the TTY line would tear. Every event carries its model
+   id explicitly, so a "done" heartbeat can never be attributed to
+   whichever model another worker started last. *)
 
 type t = {
   clock : unit -> float;
@@ -26,9 +23,7 @@ type t = {
   mutable completed : int;
   mutable skipped : int;
   mutable current : string option;
-  mutable seed : int option;
   mutable phase : string option;
-  mutable model_t0 : float;
   mutable live_len : int;
 }
 
@@ -62,9 +57,7 @@ let create ?(clock = Span.now) ?(out = stderr) ?tty ?(quiet = false) ?heartbeat
     completed = 0;
     skipped = 0;
     current = None;
-    seed = None;
     phase = None;
-    model_t0 = t0;
     live_len = 0;
   }
 
@@ -127,11 +120,6 @@ let heartbeat_u ?(extra = []) t ~event ~model ~seed ~phase ~elapsed:dt =
     output_char oc '\n';
     flush oc
 
-(* The implicit-current variant used by the sequential lifecycle. *)
-let heartbeat_cur_u t ~event =
-  heartbeat_u t ~event ~model:t.current ~seed:t.seed ~phase:t.phase
-    ~elapsed:(t.clock () -. t.model_t0)
-
 (* ------------------------------------------------------------------ *)
 (* Console output (caller holds the lock)                              *)
 (* ------------------------------------------------------------------ *)
@@ -176,38 +164,8 @@ let println_u t msg =
     flush oc
 
 (* ------------------------------------------------------------------ *)
-(* Sequential lifecycle (implicit current model)                       *)
+(* Events (explicit model ids)                                         *)
 (* ------------------------------------------------------------------ *)
-
-let start t ?seed id =
-  locked t (fun () ->
-      t.current <- Some id;
-      t.seed <- seed;
-      t.phase <- None;
-      t.model_t0 <- t.clock ();
-      heartbeat_cur_u t ~event:"start";
-      redraw_u t)
-
-let phase t name =
-  locked t (fun () ->
-      t.phase <- Some name;
-      heartbeat_cur_u t ~event:"phase";
-      redraw_u t)
-
-let finish t =
-  locked t (fun () ->
-      let dt = Float.max 0. (t.clock () -. t.model_t0) in
-      t.completed <- t.completed + 1;
-      heartbeat_cur_u t ~event:"done";
-      (match t.current with
-      | Some id when not t.tty ->
-        println_u t
-          (Printf.sprintf "%s [%d/%d] %s done in %s%s" t.label t.completed
-             t.total id (duration dt) (eta_cell_u t))
-      | _ -> ());
-      t.current <- None;
-      t.phase <- None;
-      redraw_u t)
 
 let skip t ?seed id =
   locked t (fun () ->
@@ -216,17 +174,12 @@ let skip t ?seed id =
       heartbeat_u t ~event:"skip" ~model:(Some id) ~seed ~phase:None ~elapsed:0.;
       redraw_u t)
 
-(* ------------------------------------------------------------------ *)
-(* Concurrent lifecycle (explicit model ids, for fleet workers)        *)
-(* ------------------------------------------------------------------ *)
-
 let task_start t ?seed id =
   locked t (fun () ->
       (* The live line shows the most recently started task — with
          several in flight there is no single "current" model, only a
          representative one. *)
       t.current <- Some id;
-      t.seed <- seed;
       t.phase <- None;
       heartbeat_u t ~event:"start" ~model:(Some id) ~seed ~phase:None
         ~elapsed:0.;
@@ -235,7 +188,9 @@ let task_start t ?seed id =
 let task_phase t ~id name =
   locked t (fun () ->
       (if t.current = Some id then t.phase <- Some name);
-      heartbeat_u t ~event:"phase" ~model:(Some id) ~seed:t.seed
+      (* No seed: the reporter cannot tell which of several in-flight
+         tasks' seeds is [id]'s; its start and done records carry it. *)
+      heartbeat_u t ~event:"phase" ~model:(Some id) ~seed:None
         ~phase:(Some name) ~elapsed:0.;
       redraw_u t)
 

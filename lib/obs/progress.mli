@@ -10,12 +10,10 @@
 
     All state and rendering sit behind one mutex, so a single reporter
     can be shared by worker domains: heartbeat records never interleave
-    mid-line and the TTY status line never tears. Sequential sweeps use
-    the implicit-current {!start}/{!phase}/{!finish} lifecycle;
-    concurrent workers must use {!task_start}/{!task_phase}/{!task_done}
-    instead, which carry the model id explicitly (with several models in
-    flight, "the current model" no longer identifies whose event is
-    being reported). *)
+    mid-line and the TTY status line never tears. Every event names its
+    model explicitly ({!task_start}/{!task_phase}/{!task_done}, {!skip}):
+    with several models in flight, "the current model" would not
+    identify whose event is being reported. *)
 
 type t
 
@@ -32,33 +30,20 @@ val create :
     ETA math deterministic in tests. [out] (default [stderr]) receives
     console output unless [quiet]; [tty] overrides terminal detection on
     [out]. [heartbeat] receives one JSONL record per event; the caller
-    owns the channel. *)
-
-val start : t -> ?seed:int -> string -> unit
-(** [start t id] marks model [id] as running. *)
-
-val phase : t -> string -> unit
-(** Name the phase the current model is in ("exact", "N=500", ...). *)
-
-val finish : t -> unit
-(** Mark the current model done; bumps [completed]. *)
+    owns the channel (a file opened with {!Export.open_append} resumes
+    cleanly after a torn line). *)
 
 val skip : t -> ?seed:int -> string -> unit
 (** Record model [id] as skipped (e.g. found in a resume file). Counts
     toward [completed] so ETA reflects remaining work only. *)
-
-(** {1 Concurrent lifecycle}
-
-    Explicit-id events for fleet workers sharing one reporter across
-    domains. Safe to mix with {!skip} (which already names its model);
-    do not mix with {!start}/{!finish} on the same reporter. *)
 
 val task_start : t -> ?seed:int -> string -> unit
 (** Emit a ["start"] heartbeat for model [id]; the live line shows the
     most recently started task. *)
 
 val task_phase : t -> id:string -> string -> unit
-(** Emit a ["phase"] heartbeat for model [id]. *)
+(** Emit a ["phase"] heartbeat for model [id]. It carries no seed; the
+    task's ["start"] and ["done"] records do. *)
 
 val task_done :
   t -> ?seed:int -> ?elapsed:float -> ?certified:bool -> string -> unit

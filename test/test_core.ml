@@ -632,24 +632,53 @@ let test_sweep_brackets_exact () =
       done)
     [ 1; 2; 3; 4; 5 ]
 
-let test_sweep_run_progress_and_skip () =
-  (* [Sweep.run] owns the progress wiring: one model per population,
-     skipped ids reported and omitted from the results. *)
-  let stepped = ref [] in
+let test_sweep_run_progress () =
+  (* [Sweep.run] owns the progress wiring: one task per population, id
+     "N=<n>", with [f]'s phases and the lazy step's "bounds" phase in
+     between its start and done heartbeats. *)
+  let module Progress = Mapqn_obs.Progress in
+  let module Json = Mapqn_obs.Json in
+  let hb = Filename.temp_file "mapqn_sweep_hb" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove hb) @@ fun () ->
+  let oc = open_out hb in
+  let p = Progress.create ~quiet:true ~heartbeat:oc ~total:3 "sweep" in
   let sweep = Bounds.Sweep.create (fun population -> fig5 ~population ()) in
   let results =
-    Bounds.Sweep.run sweep ~populations:[ 1; 2; 3 ]
-      ~skip:(fun id -> id = "N=2")
-      ~f:(fun ~phase ~bounds population ->
+    Bounds.Sweep.run ~progress:p sweep ~populations:[ 1; 2; 3 ]
+      ~f:(fun ~phase ~bounds _ ->
         phase "exact";
-        let b = bounds () in
-        stepped := population :: !stepped;
-        Bounds.utilization b 0)
+        Bounds.utilization (bounds ()) 0)
   in
-  Alcotest.(check (list int))
-    "skipped population omitted" [ 1; 3 ]
+  Progress.close p;
+  close_out oc;
+  Alcotest.(check (list int)) "every population" [ 1; 2; 3 ]
     (List.map fst results);
-  Alcotest.(check (list int)) "stepped populations" [ 1; 3 ] (List.rev !stepped)
+  Alcotest.(check int) "completed" 3 (Progress.completed p);
+  let event l =
+    let j = Json.parse_exn l in
+    let field k =
+      Option.value ~default:"" (Option.bind (Json.member k j) Json.get_string)
+    in
+    Printf.sprintf "%s %s:%s" (field "event") (field "model") (field "phase")
+  in
+  let events =
+    In_channel.with_open_text hb In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.map event
+  in
+  Alcotest.(check (list string)) "heartbeats per population"
+    (List.concat_map
+       (fun n ->
+         let id = Printf.sprintf "N=%d" n in
+         [
+           "start " ^ id ^ ":";
+           "phase " ^ id ^ ":exact";
+           "phase " ^ id ^ ":bounds";
+           "done " ^ id ^ ":";
+         ])
+       [ 1; 2; 3 ])
+    events
 
 let test_sweep_ledger_records () =
   (* With a ledger enabled, every sweep step and every eval appends
@@ -786,8 +815,7 @@ let () =
             test_incremental_rejects_other_network;
           Alcotest.test_case "stepped bounds bracket exact" `Quick
             test_sweep_brackets_exact;
-          Alcotest.test_case "run progress and skip" `Quick
-            test_sweep_run_progress_and_skip;
+          Alcotest.test_case "run progress" `Quick test_sweep_run_progress;
           Alcotest.test_case "unsupported network" `Quick
             test_sweep_unsupported_network;
           Alcotest.test_case "ledger records per step and eval" `Quick

@@ -48,18 +48,20 @@ let test_fig8_small () =
 
 let test_table1_small () =
   let options =
-    { Table1.bench_options with Table1.models = 3; populations = [ 1; 3 ] }
+    { Fleet_sweep.table1_bench with Fleet_sweep.models = 3; populations = [ 1; 3 ] }
   in
-  let t = Table1.run ~options () in
-  Alcotest.(check int) "three models" 3 (List.length t.Table1.per_model);
+  let t = Fleet_sweep.run ~options () in
+  Alcotest.(check int) "three models" 3 (List.length t.Fleet_sweep.rows);
+  Alcotest.(check int) "no failures" 0 (List.length t.Fleet_sweep.failed);
   List.iter
-    (fun (r : Table1.model_result) ->
-      Alcotest.(check int) "no violations" 0 r.Table1.bracket_violations;
-      if r.Table1.max_err_lower > 0.5 || r.Table1.max_err_upper > 0.5 then
-        Alcotest.failf "errors unexpectedly large: %f %f" r.Table1.max_err_lower
-          r.Table1.max_err_upper)
-    t.Table1.per_model;
-  let mean_up, _, _, _ = t.Table1.rmax_stats in
+    (fun (r : Fleet_sweep.model_row) ->
+      Alcotest.(check int) "no violations" 0 r.Fleet_sweep.bracket_violations;
+      if not (r.Fleet_sweep.max_err_lower <= 0.5 && r.Fleet_sweep.max_err_upper <= 0.5)
+      then
+        Alcotest.failf "errors unexpectedly large: %f %f"
+          r.Fleet_sweep.max_err_lower r.Fleet_sweep.max_err_upper)
+    t.Fleet_sweep.rows;
+  let mean_up, _, _, _ = t.Fleet_sweep.rmax_stats in
   Alcotest.(check bool) "mean error sane" true (mean_up >= 0. && mean_up < 0.5)
 
 let test_fig3_small () =

@@ -7,7 +7,7 @@ module Run_ctx = Mapqn_obs.Run_ctx
 module Ledger = Mapqn_obs.Ledger
 module Json = Mapqn_obs.Json
 module Bounds = Mapqn_core.Bounds
-module Table1 = Mapqn_experiments.Table1
+module Fleet_sweep = Mapqn_experiments.Fleet_sweep
 
 (* ---------------- Chunk queue ---------------- *)
 
@@ -157,12 +157,10 @@ let test_run_tasks_outcomes () =
   (match outcomes.(2) with
   | Fleet.Done (2, Some _) -> ()
   | _ -> Alcotest.fail "task 2 must be Done");
-  (match outcomes.(3) with
-  | Fleet.Failed (Failure _) -> ()
-  | _ -> Alcotest.fail "task 3 must be Failed");
-  match Fleet.first_failure outcomes with
-  | Some (Failure msg) -> Alcotest.(check string) "failure" "task 3 fails" msg
-  | _ -> Alcotest.fail "first_failure must report task 3"
+  match outcomes.(3) with
+  | Fleet.Failed (Failure msg) ->
+    Alcotest.(check string) "failure" "task 3 fails" msg
+  | _ -> Alcotest.fail "task 3 must be Failed"
 
 (* ---------------- Parallel == sequential, bit for bit ---------------- *)
 
@@ -183,6 +181,11 @@ let strip_volatile = function
       (List.filter (fun (k, _) -> k <> "ts" && k <> "duration_s") kvs)
   | other -> other
 
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+
 let ledger_fingerprints path =
   Ledger.load path
   |> List.map (fun r -> Json.to_string (strip_volatile r))
@@ -190,18 +193,26 @@ let ledger_fingerprints path =
 
 let table1_options =
   {
-    Table1.bench_options with
-    Table1.models = 4;
+    Fleet_sweep.table1_bench with
+    Fleet_sweep.models = 4;
     populations = [ 1; 2 ];
     config = Mapqn_core.Constraints.standard;
   }
 
+(* Everything a run computes, i.e. every row field but the wall-clock
+   [duration_s], plus the failed ids. *)
+let results (t : Fleet_sweep.t) =
+  ( List.map
+      (fun (r : Fleet_sweep.model_row) -> { r with Fleet_sweep.duration_s = 0. })
+      t.Fleet_sweep.rows,
+    List.map fst t.Fleet_sweep.failed )
+
 let run_table1 ~jobs () =
   with_temp_ledger @@ fun tmp ->
   Ledger.enable_exn ~path:tmp ();
-  let t = Table1.run ~options:{ table1_options with Table1.jobs } () in
+  let t = Fleet_sweep.run ~options:{ table1_options with Fleet_sweep.jobs } () in
   Ledger.disable ();
-  (t.Table1.per_model, ledger_fingerprints tmp)
+  (t, ledger_fingerprints tmp)
 
 let prop_parallel_bit_identical =
   let seq = lazy (run_table1 ~jobs:1 ()) in
@@ -212,17 +223,20 @@ let prop_parallel_bit_identical =
     ~count:4
     QCheck.(int_range 2 5)
     (fun jobs ->
-      let seq_models, seq_ledger = Lazy.force seq in
-      let par_models, par_ledger = run_table1 ~jobs () in
-      if par_models <> seq_models then
-        QCheck.Test.fail_report "per-model results differ";
+      let seq_t, seq_ledger = Lazy.force seq in
+      let par_t, par_ledger = run_table1 ~jobs () in
+      if par_t.Fleet_sweep.failed <> [] then
+        QCheck.Test.fail_report "a model failed";
+      (* [compare], not [=]: a NaN error field equals itself here. *)
+      if compare (results par_t) (results seq_t) <> 0 then
+        QCheck.Test.fail_report "per-model rows differ";
       if par_ledger <> seq_ledger then
         QCheck.Test.fail_report "ledger record bodies differ";
       List.iteri
-        (fun i (r : Table1.model_result) ->
-          if r.Table1.index <> i then
-            QCheck.Test.fail_report "results out of task order")
-        par_models;
+        (fun i (r : Fleet_sweep.model_row) ->
+          if r.Fleet_sweep.index <> i then
+            QCheck.Test.fail_report "rows out of task order")
+        par_t.Fleet_sweep.rows;
       true)
 
 (* ---------------- Concurrent eval smoke ---------------- *)
@@ -247,16 +261,9 @@ let test_concurrent_eval_no_torn_records () =
   Alcotest.(check bool) "domain B result" true (got_b = expect_b);
   (* Every line of the shared ledger must parse — concurrent writers
      append whole records, never torn ones. *)
-  let lines = ref 0 in
-  let ic = open_in tmp in
-  (try
-     while true do
-       ignore (input_line ic);
-       incr lines
-     done
-   with End_of_file -> close_in ic);
   let records = Ledger.load tmp in
-  Alcotest.(check int) "all lines parse" !lines (List.length records);
+  Alcotest.(check int) "all lines parse" (List.length (read_lines tmp))
+    (List.length records);
   (* 2 sequential + 2 concurrent evals, and each concurrent record's
      body matches its sequential twin bit for bit. *)
   Alcotest.(check int) "one record per eval" 4 (List.length records);
@@ -330,6 +337,66 @@ let test_run_tasks_resume_uncertified () =
     (List.sort compare
        (Mapqn_obs.Progress.load_completed ~require_certified:true hb))
 
+(* A run killed mid-write leaves a heartbeat file and a rows file that
+   each end in a torn line. The next run opens both through
+   [Export.open_append], so its first heartbeat and first row start
+   lines of their own and parse; only the torn line stays unreadable. *)
+let test_append_after_torn_tail () =
+  let hb = Filename.temp_file "mapqn_fleet_hb" ".jsonl" in
+  let rows = Filename.temp_file "mapqn_fleet_rows" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove hb;
+      Sys.remove rows)
+  @@ fun () ->
+  List.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc
+        "{\"event\":\"done\",\"model\":\"model-99999\"}\n{\"event\":\"do";
+      close_out oc)
+    [ hb; rows ];
+  let hb_oc = Mapqn_obs.Export.open_append hb in
+  let rows_oc = Mapqn_obs.Export.open_append rows in
+  (Fun.protect
+     ~finally:(fun () ->
+       close_out hb_oc;
+       close_out rows_oc)
+   @@ fun () ->
+   let p = Mapqn_obs.Progress.create ~quiet:true ~heartbeat:hb_oc ~total:1 "test" in
+   let options =
+     { table1_options with Fleet_sweep.models = 1; populations = [ 1 ] }
+   in
+   ignore
+     (Fleet_sweep.run ~options ~progress:p
+        ~sink:(fun row ->
+          output_string rows_oc (Json.to_string (Fleet_sweep.row_to_json row));
+          output_char rows_oc '\n')
+        ());
+   Mapqn_obs.Progress.close p);
+  let parses l = Result.is_ok (Json.parse l) in
+  List.iter
+    (fun path ->
+      match read_lines path with
+      | first :: torn :: fresh ->
+        Alcotest.(check bool) "old record intact" true (parses first);
+        Alcotest.(check bool) "torn line stays torn" false (parses torn);
+        Alcotest.(check bool) "new records follow" true (fresh <> []);
+        List.iter
+          (fun l -> Alcotest.(check bool) ("parses: " ^ l) true (parses l))
+          fresh
+      | _ -> Alcotest.failf "%s lost its old lines" path)
+    [ hb; rows ];
+  Alcotest.(check (list string)) "new done heartbeat is a checkpoint"
+    [ "model-99999"; "model-00000" ]
+    (Mapqn_obs.Progress.load_completed hb);
+  match List.rev (read_lines rows) with
+  | row :: _ ->
+    Alcotest.(check (option string)) "new row names its model"
+      (Some "model-00000")
+      (Option.bind (Json.member "model" (Json.parse_exn row)) Json.get_string)
+  | [] -> Alcotest.fail "no rows"
+
 let () =
   Alcotest.run "fleet"
     [
@@ -367,6 +434,8 @@ let () =
             test_run_tasks_resume_checkpoint;
           Alcotest.test_case "uncertified dones re-run on certified resume"
             `Quick test_run_tasks_resume_uncertified;
+          Alcotest.test_case "heartbeat and row append after a torn tail"
+            `Quick test_append_after_torn_tail;
         ] );
       ( "determinism",
         [ QCheck_alcotest.to_alcotest prop_parallel_bit_identical ] );

@@ -712,10 +712,10 @@ let test_progress_eta () =
   in
   Alcotest.(check (option (float 0.))) "no eta before first completion" None
     (Progress.eta_seconds p);
-  Progress.start p ~seed:7 "model-0000";
-  Progress.phase p "N=8";
+  Progress.task_start p ~seed:7 "model-0000";
+  Progress.task_phase p ~id:"model-0000" "N=8";
   now := 10.;
-  Progress.finish p;
+  Progress.task_done p ~seed:7 ~elapsed:10. "model-0000";
   check_float "elapsed from injected clock" 10. (Progress.elapsed p);
   (match Progress.eta_seconds p with
   | Some eta -> check_float "eta = elapsed/completed * remaining" 30. eta
@@ -727,10 +727,10 @@ let test_progress_eta () =
   | Some eta -> check_float "skip counts toward eta" 10. eta
   | None -> Alcotest.fail "expected an eta after skip");
   now := 20.;
-  Progress.start p "model-0002";
-  Progress.finish p;
-  Progress.start p "model-0003";
-  Progress.finish p;
+  Progress.task_start p "model-0002";
+  Progress.task_done p "model-0002";
+  Progress.task_start p "model-0003";
+  Progress.task_done p "model-0003";
   Alcotest.(check (option (float 0.))) "no eta once done" None
     (Progress.eta_seconds p);
   Alcotest.(check int) "completed" 4 (Progress.completed p);
@@ -742,22 +742,19 @@ let test_progress_eta () =
     [ "model-0000"; "model-0001"; "model-0002"; "model-0003" ]
     (Progress.load_completed tmp);
   (* Every record is one parsable JSON line carrying the sweep label. *)
-  let ic = open_in tmp in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Alcotest.(check bool) "heartbeats written" true (List.length !lines > 4);
+  let lines =
+    In_channel.with_open_text tmp In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check bool) "heartbeats written" true (List.length lines > 4);
   List.iter
     (fun l ->
       let j = Json.parse_exn l in
       Alcotest.(check (option string)) "label" (Some "sweep")
         (Json.get_string (json_get [ "label" ] j));
       if Json.member "event" j = None then Alcotest.fail "heartbeat lacks event")
-    !lines
+    lines
 
 (* ---------------- Run ledger ---------------- *)
 
