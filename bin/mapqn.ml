@@ -589,16 +589,13 @@ let resolve_jobs = function
     exit 1
   | None -> Mapqn_fleet.Fleet.default_jobs ()
 
-(* Uncertified "done" records don't count as completed: a resumed run
-   retries rescued-but-uncertified models exactly like failed ones
-   (which emit no "done" record at all). *)
-let resume_skip ~label resume_from =
+(* Only the done ids that name a model of this run count: a heartbeat
+   of another grid or id format resumes nothing, and says so. *)
+let resume_skip ~label ~options resume_from =
   match resume_from with
   | None -> fun _ -> false
   | Some path ->
-    let done_ =
-      Mapqn_obs.Progress.load_completed ~require_certified:true path
-    in
+    let done_ = Mapqn_experiments.Fleet_sweep.completed options path in
     if done_ = [] then
       Printf.eprintf "%s: no completed models in %s, running all\n%!" label path
     else
@@ -613,7 +610,7 @@ let resume_skip ~label resume_from =
    summary. Returns whether any model failed; the caller exits 1 on it
    once the telemetry is written. *)
 let run_fleet ~label ~options ~out ~progress ~heartbeat_out ~resume_from =
-  let skip = resume_skip ~label resume_from in
+  let skip = resume_skip ~label ~options resume_from in
   (* Row writes come from worker domains; one mutex keeps the JSONL
      stream record-atomic (same contract as the ledger sink). *)
   let sink_mutex = Mutex.create () in
@@ -753,17 +750,8 @@ let fleet_cmd =
     in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
   in
-  let accept_uncertified_arg =
-    let doc =
-      "Keep a model whose certificate rescue ladder is exhausted, reporting \
-       its best uncertified bounds, instead of failing it. Its checkpoint \
-       entry is stamped $(b,\"certified\": false), so a later \
-       $(b,--resume-from) of the heartbeat file still retries it."
-    in
-    Arg.(value & flag & info [ "accept-uncertified" ] ~doc)
-  in
   let run verbose models stations map_stations populations jobs seed config
-      exact_upto accept_uncertified out progress heartbeat_out resume_from obs =
+      exact_upto out progress heartbeat_out resume_from obs =
     setup_logs verbose;
     let populations =
       match parse_populations populations with
@@ -785,7 +773,6 @@ let fleet_cmd =
         seed;
         config;
         exact_upto;
-        accept_uncertified;
         jobs = resolve_jobs jobs;
         spec =
           {
@@ -810,8 +797,7 @@ let fleet_cmd =
     Term.(
       const run $ verbose_arg $ models_arg $ stations_arg $ map_stations_arg
       $ populations_arg $ jobs_arg $ seed_arg $ config_arg $ exact_upto_arg
-      $ accept_uncertified_arg $ out_arg $ progress_arg $ heartbeat_out_arg
-      $ resume_from_arg $ obs_args)
+      $ out_arg $ progress_arg $ heartbeat_out_arg $ resume_from_arg $ obs_args)
 
 let pipeline_cmd =
   let run verbose paper_scale obs =
@@ -1144,40 +1130,35 @@ let doctor_cmd =
     let doc = "Ledger file to diagnose." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"LEDGER" ~doc)
   in
-  let tol_arg name default doc =
-    Arg.(value & opt float default & info [ name ] ~docv:"TOL" ~doc)
+  let tol_primal_arg =
+    let doc =
+      "Primal-residual tolerance used to judge certificate records that \
+       carry none."
+    in
+    Arg.(
+      value
+      & opt float Mapqn_lp.Certificate.default_tol_primal
+      & info [ "tol-primal" ] ~docv:"TOL" ~doc)
   in
-  let run verbose file tol_primal tol_dual tol_comp =
+  let run verbose file tol_primal =
     setup_logs verbose;
     let records = load_ledger file in
-    let findings =
-      Mapqn_obs.Ledger.doctor ~tol_primal ~tol_dual ~tol_comp records
-    in
+    let findings = Mapqn_obs.Ledger.doctor ~tol_primal records in
     Printf.printf "doctor: %d record(s) in %s\n" (List.length records) file;
     print_string (Mapqn_obs.Ledger.render_findings findings);
     if List.exists (fun f -> f.Mapqn_obs.Ledger.severity = Mapqn_obs.Ledger.Fail)
          findings
     then exit 1
   in
-  let term =
-    Term.(
-      const run $ verbose_arg $ file_arg
-      $ tol_arg "tol-primal" Mapqn_lp.Certificate.default_tol_primal
-          "Primal-residual tolerance used to judge certificate records that \
-           carry none."
-      $ tol_arg "tol-dual" Mapqn_lp.Certificate.default_tol_dual
-          "Dual-violation tolerance."
-      $ tol_arg "tol-comp" Mapqn_lp.Certificate.default_tol_comp
-          "Complementary-slackness tolerance.")
-  in
   Cmd.v
     (Cmd.info "doctor"
        ~doc:
-         "Scan a run ledger for numerical-trust hazards: certificate failures \
-          and near-misses, drift-triggered reinversions, degeneracy stalls, \
-          and the residual-peak-at-the-largest-population signature; exits \
-          non-zero when any finding is a failure")
-    term
+         "Scan a run ledger for numerical-trust hazards: certificate rescues, \
+          exhausted rescue ladders and near-misses, drift-triggered \
+          reinversions, degeneracy stalls, and the \
+          residual-peak-at-the-largest-population signature; exits non-zero \
+          when any finding is a failure")
+    Term.(const run $ verbose_arg $ file_arg $ tol_primal_arg)
 
 let () =
   let doc = "MAP queueing networks: exact solution, LP bounds, baselines, simulation" in

@@ -18,7 +18,6 @@ type error =
   | Iteration_limit of int
   | Invalid_station of int
   | Invalid_objective of string
-  | Certificate_failure of Certificate.failure
 
 let error_to_string = function
   | Unsupported_network what -> what ^ " is not supported by the bound analysis"
@@ -28,7 +27,6 @@ let error_to_string = function
   | Iteration_limit k -> Printf.sprintf "simplex iteration limit (%d pivots)" k
   | Invalid_station k -> Printf.sprintf "station index %d is out of range" k
   | Invalid_objective what -> "invalid objective: " ^ what
-  | Certificate_failure f -> Certificate.failure_to_string f
 
 exception Solver_error of error
 
@@ -75,12 +73,14 @@ type t = {
   network : Mapqn_model.Network.t;
   ms : Ms.t;
   model : Lp.t;
+  upper : float array;
+      (* each variable's implied upper bound (Marginal_space.upper_bound),
+         the box of every safe dual bound *)
   mutable backend : backend;
       (* the rescue ladder swaps in the re-prepared state that produced
          the accepted result, so later objectives benefit from it *)
   config : Constraints.config;
   max_iter : int option;
-  accept_uncertified : bool;
   mutable retired : Revised.stats;
       (* Work of the revised states this handle no longer holds: those
          the rescue ladder swapped out and, for a sweep step, every
@@ -144,16 +144,12 @@ let swap_backend t backend =
 (* The rescue ladder                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* A failed certificate, and a revised prepare that reports these
-   always-feasible LPs infeasible or hits its phase-1 cap, are numerics,
-   not modeling. Both climb one ladder of increasingly drastic ways to
-   re-derive the solution, in {!Health.rescue} order; the first rung that
-   works is recorded as the solve's rescue cause.
+(* A solve whose certificate is not accepted, and a revised prepare that
+   reports these always-feasible LPs infeasible or hits its phase-1 cap,
+   are numerics, not modeling. Both climb one ladder of increasingly
+   drastic ways to re-derive the solution, in {!Health.rescue} order; the
+   first rung that works is recorded as the solve's rescue cause.
 
-   - [Refine]: rebuild the factorization of the same basis and
-     re-optimize warm, washing out eta-file drift the in-solve refinement
-     could not correct through a stale factorization. A failed prepare
-     skips it: there is no optimal basis to refine.
    - [Reprepare]: a fresh revised prepare at [scale] times the failing
      state's perturbation scale (1 at prepare time), with salt base
      [salt], all warm-start state discarded. Reperturb tightens 100×, so
@@ -169,16 +165,14 @@ let swap_backend t backend =
      stop being a rescue and start being a hang.
 
    A failed prepare returns its original error when the ladder is
-   exhausted; a failed certificate raises it, or records
-   [Health.Uncertified] under [accept_uncertified]. *)
+   exhausted; an unaccepted certificate records [Health.Uncertified] and
+   reports the tightest safe bound it saw. *)
 type rung =
-  | Refine
   | Reprepare of { scale : float; salt : int; serves_dense : bool }
   | Dense_tableau
 
 let ladder =
   [
-    (Health.Refined, Refine);
     ( Health.Reperturbed,
       Reprepare { scale = 0.01; salt = 0; serves_dense = false } );
     ( Health.Cold_resolve,
@@ -198,8 +192,7 @@ let reprepare ?max_iter model failing rung =
     | Error _ -> Error no_work
   in
   match (rung, failing) with
-  | Refine, _ | Reprepare { serves_dense = false; _ }, Some (B_dense _) ->
-    Error no_work
+  | Reprepare { serves_dense = false; _ }, Some (B_dense _) -> Error no_work
   | Reprepare { salt; _ }, Some (B_dense _) ->
     dense (Simplex.prepare ?max_iter ~salt model)
   | Reprepare { scale; salt; _ }, (None | Some (B_revised _)) -> (
@@ -242,8 +235,7 @@ let rescue_prepare ?max_iter model (err, lost) =
    stays unrescued). Also returns whether the seed took. The handle
    retires [retired] plus the work of every prepare that failed on the
    way. *)
-let prepare ~solver ~config ?max_iter ~accept_uncertified ?seeds ~retired
-    network ms model =
+let prepare ~solver ~config ?max_iter ?seeds ~retired network ms model =
   Mapqn_obs.Span.with_ "bounds.prepare" @@ fun () ->
   let prepared =
     match solver with
@@ -272,10 +264,10 @@ let prepare ~solver ~config ?max_iter ~accept_uncertified ?seeds ~retired
           network;
           ms;
           model;
+          upper = Array.init (Ms.num_vars ms) (Ms.upper_bound ms);
           backend;
           config;
           max_iter;
-          accept_uncertified;
           retired = add_work retired lost;
         },
         seeded )
@@ -283,18 +275,17 @@ let prepare ~solver ~config ?max_iter ~accept_uncertified ?seeds ~retired
   | Error (Simplex.Iteration_limit_phase1 k) -> Error (Iteration_limit k)
 
 let create ?(solver = default_solver) ?(config = Constraints.standard) ?max_iter
-    ?(accept_uncertified = false) network =
+    network =
   Mapqn_obs.Span.with_ "bounds.create" @@ fun () ->
   if Mapqn_model.Network.has_delay network then
     Error (Unsupported_network "a delay (infinite-server) station")
   else
     let ms, model = Constraints.build config network in
     Result.map fst
-      (prepare ~solver ~config ?max_iter ~accept_uncertified ~retired:no_work
-         network ms model)
+      (prepare ~solver ~config ?max_iter ~retired:no_work network ms model)
 
-let create_exn ?solver ?config ?max_iter ?accept_uncertified network =
-  match create ?solver ?config ?max_iter ?accept_uncertified network with
+let create_exn ?solver ?config ?max_iter network =
+  match create ?solver ?config ?max_iter network with
   | Ok t -> t
   | Error e -> raise (Solver_error e)
 
@@ -332,8 +323,9 @@ let solver_name t =
 
 (* The common tail of an "eval" / "sweep_step" ledger record: model
    fingerprint, LP size, solver work deltas by refactorization cause,
-   the certificate residual triple (with the tolerances it was judged
-   against) and the numerical-health snapshot of this unit of work. *)
+   the worst certificate primal residual (with the tolerance it was
+   judged against) and gap, and the numerical-health snapshot of this
+   unit of work. *)
 let ledger_fields t ~duration ~(before : Revised.stats) =
   let after = work t in
   let h = Health.current () in
@@ -362,12 +354,9 @@ let ledger_fields t ~duration ~(before : Revised.stats) =
       Json.Object
         [
           ("primal_residual", num h.Health.cert_primal);
-          ("dual_violation", num h.Health.cert_dual);
-          ("comp_slack", num h.Health.cert_comp);
+          ("gap", num h.Health.cert_gap);
           ("failures", num (float_of_int h.Health.cert_failures));
           ("tol_primal", num Certificate.default_tol_primal);
-          ("tol_dual", num Certificate.default_tol_dual);
-          ("tol_comp", num Certificate.default_tol_comp);
         ] );
     ("health", Health.to_json h);
   ]
@@ -387,7 +376,9 @@ let m_certificates =
 
 let m_certificate_failures =
   Mapqn_obs.Metrics.counter
-    ~help:"LP optimality certificates that exceeded tolerance."
+    ~help:
+      "Objectives whose rescue ladder was exhausted: the endpoint is the \
+       tightest safe bound seen."
     "bounds_certificate_failures_total"
 
 let m_cert_primal =
@@ -395,18 +386,8 @@ let m_cert_primal =
     ~help:"Worst primal residual over the certificates of this run."
     "bounds_certificate_primal_residual"
 
-let m_cert_dual =
-  Mapqn_obs.Metrics.gauge
-    ~help:"Worst dual-feasibility violation over the certificates of this run."
-    "bounds_certificate_dual_violation"
-
-let m_cert_comp =
-  Mapqn_obs.Metrics.gauge
-    ~help:"Worst complementary-slackness gap over the certificates of this run."
-    "bounds_certificate_comp_slack"
-
-(* One certificate check, with metrics and trace but no policy: returns
-   the failure instead of raising so the rescue ladder can escalate. *)
+(* One acceptance test, with metrics and trace but no policy: returns
+   the judged certificate either way so the rescue ladder can escalate. *)
 let certify_check t direction objective s =
   let label =
     match direction with Simplex.Minimize -> "min" | Simplex.Maximize -> "max"
@@ -414,77 +395,77 @@ let certify_check t direction objective s =
   Mapqn_obs.Metrics.inc m_certificates;
   let outcome =
     Mapqn_obs.Span.with_ "bounds.certify" (fun () ->
-        Certificate.check t.model direction ~objective s)
+        Certificate.check ~upper:t.upper t.model direction ~objective s)
   in
-  let cert =
-    match outcome with
-    | Ok c -> c
-    | Error (f : Certificate.failure) -> f.Certificate.certificate
-  in
+  let (Ok cert | Error cert) = outcome in
   Mapqn_obs.Metrics.set_max m_cert_primal cert.Certificate.primal_residual;
-  Mapqn_obs.Metrics.set_max m_cert_dual cert.Certificate.dual_violation;
-  Mapqn_obs.Metrics.set_max m_cert_comp cert.Certificate.comp_slack;
   if Trace.is_enabled () then
     Trace.record
       (Trace.Certificate
          {
            label;
            primal_residual = cert.Certificate.primal_residual;
-           dual_violation = cert.Certificate.dual_violation;
-           comp_slack = cert.Certificate.comp_slack;
+           gap = cert.Certificate.gap;
            accepted = Result.is_ok outcome;
          });
-  Result.map (fun _ -> ()) outcome
+  outcome
+
+(* The endpoint of an accepted solve: its objective widened by the
+   margin — or the safe bound, should that be looser. Either way the
+   endpoint is valid whatever the solver did; the margin keeps it equal
+   to the widened objective whenever the gap test passed. *)
+let endpoint direction (s : Simplex.solution) (cert : Certificate.t) =
+  let v = s.Simplex.objective in
+  match direction with
+  | Simplex.Minimize -> Float.min (v -. Certificate.margin v) cert.safe_bound
+  | Simplex.Maximize -> Float.max (v +. Certificate.margin v) cert.safe_bound
 
 (* The certificate side of the rescue ladder: each rung's solution must
-   certify, and a re-prepared winner is swapped into [t.backend] so later
-   objectives start from the healthier state (the dense oracle leaves a
-   dense backend, perhaps re-salted by the cold rung, in place). *)
-let rescue t direction objective (f0 : Certificate.failure) =
+   pass the acceptance test, and a re-prepared winner is swapped into
+   [t.backend] so later objectives start from the healthier state (the
+   dense oracle leaves a dense backend, perhaps re-salted by the cold
+   rung, in place). An exhausted ladder reports the tightest safe bound
+   of every solve it saw, the first included. *)
+let rescue t direction objective (first : Certificate.t) =
   Mapqn_obs.Metrics.inc m_rescues;
-  let certified backend =
-    match backend_optimize t backend direction objective with
-    | Simplex.Optimal s -> (
-      match certify_check t direction objective s with
-      | Ok () -> Some s
-      | Error _ -> None)
-    | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit -> None
+  let tighter a b =
+    match direction with
+    | Simplex.Minimize -> Float.max a b
+    | Simplex.Maximize -> Float.min a b
   in
-  let rec climb = function
+  let rec climb best = function
     | [] ->
-      if t.accept_uncertified then begin
-        Health.observe_rescue Health.Uncertified;
-        None
-      end
-      else begin
-        Mapqn_obs.Metrics.inc m_certificate_failures;
-        raise (Solver_error (Certificate_failure f0))
-      end
+      Mapqn_obs.Metrics.inc m_certificate_failures;
+      Health.observe_rescue Health.Uncertified;
+      best
     | (cause, rung) :: rest -> (
-      let candidate =
-        match (rung, t.backend) with
-        | Refine, B_revised r ->
-          Revised.force_refactor r;
-          Ok t.backend
-        | _ -> reprepare ?max_iter:t.max_iter t.model (Some t.backend) rung
-      in
-      (* Every state a rung prepared and dropped keeps its work;
-         refine retried the handle's own state. *)
-      match Result.map (fun b -> (b, certified b)) candidate with
+      match reprepare ?max_iter:t.max_iter t.model (Some t.backend) rung with
       | Error lost ->
         t.retired <- add_work t.retired lost;
-        climb rest
-      | Ok (backend, None) ->
-        if rung <> Refine then retire t backend;
-        climb rest
-      | Ok (backend, Some s) ->
-        (match (rung, t.backend) with
-        | Refine, _ | Dense_tableau, B_dense _ -> ()
-        | _ -> swap_backend t backend);
-        Health.observe_rescue cause;
-        Some s)
+        climb best rest
+      | Ok backend -> (
+        let verdict =
+          match backend_optimize t backend direction objective with
+          | Simplex.Optimal s -> Some (s, certify_check t direction objective s)
+          | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit ->
+            None
+        in
+        match verdict with
+        | Some (s, Ok cert) ->
+          (match (rung, t.backend) with
+          | Dense_tableau, B_dense _ -> ()
+          | _ -> swap_backend t backend);
+          Health.observe_rescue cause;
+          endpoint direction s cert
+        | Some (_, Error cert) ->
+          (* Every state a rung prepared and dropped keeps its work. *)
+          retire t backend;
+          climb (tighter best cert.Certificate.safe_bound) rest
+        | None ->
+          retire t backend;
+          climb best rest))
   in
-  Mapqn_obs.Span.with_ "bounds.rescue" (fun () -> climb ladder)
+  Mapqn_obs.Span.with_ "bounds.rescue" (fun () -> climb first.safe_bound ladder)
 
 let optimize t direction objective =
   Mapqn_obs.Metrics.inc m_objectives;
@@ -495,15 +476,8 @@ let optimize t direction objective =
   match backend_optimize t t.backend direction objective with
   | Simplex.Optimal s -> (
     match certify_check t direction objective s with
-    | Ok () -> s.Simplex.objective
-    | Error f -> (
-      match rescue t direction objective f with
-      | Some s' -> s'.Simplex.objective
-      | None ->
-        (* Ladder exhausted under [accept_uncertified]: the original
-           point is still the best available near-optimal solution —
-           report it, with the Uncertified outcome in the ledger. *)
-        s.Simplex.objective))
+    | Ok cert -> endpoint direction s cert
+    | Error cert -> rescue t direction objective cert)
   | Simplex.Infeasible -> failwith "Bounds: phase-2 infeasibility (bug)"
   | Simplex.Unbounded ->
     failwith "Bounds: unbounded objective (missing normalization constraint?)"
@@ -534,13 +508,6 @@ let sensitivity ?(top = 10) t direction objective =
 let custom t objective =
   let lower = optimize t Simplex.Minimize objective in
   let upper = optimize t Simplex.Maximize objective in
-  (* The simplex solves a slightly perturbed problem (anti-degeneracy) and
-     stops at loose reduced-cost tolerances, so each optimum can sit a few
-     parts in 1e6 inside the true one. Widen by a conservative margin so
-     the returned interval is always a valid bound; the margin is orders
-     of magnitude below the accuracy being studied. *)
-  let margin v = 1e-5 *. Float.max 1. (Float.abs v) in
-  let lower = lower -. margin lower and upper = upper +. margin upper in
   { lower = Float.min lower upper; upper = Float.max lower upper }
 
 let clamp_interval ~lo ~hi i =
@@ -795,7 +762,6 @@ module Sweep = struct
     sconfig : Constraints.config;
     max_iter : int option;
     warm_start : bool;
-    accept_uncertified : bool;
     mutable inc : Constraints.Incremental.t option;
     mutable prev : bounds option;
     mutable steps : int;
@@ -804,14 +770,13 @@ module Sweep = struct
   }
 
   let create ?(solver = default_solver) ?(config = Constraints.standard)
-      ?max_iter ?(warm_start = true) ?(accept_uncertified = false) network_of =
+      ?max_iter ?(warm_start = true) network_of =
     {
       network_of;
       solver;
       sconfig = config;
       max_iter;
       warm_start;
-      accept_uncertified;
       inc = None;
       prev = None;
       steps = 0;
@@ -859,9 +824,8 @@ module Sweep = struct
          seeded restoration. *)
       let before = sweep_work s in
       match
-        prepare ~solver:s.solver ~config:s.sconfig ?max_iter:s.max_iter
-          ~accept_uncertified:s.accept_uncertified ?seeds ~retired:before
-          network ms model
+        prepare ~solver:s.solver ~config:s.sconfig ?max_iter:s.max_iter ?seeds
+          ~retired:before network ms model
       with
       | Error e -> Error e
       | Ok (b, seeded) ->

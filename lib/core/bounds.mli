@@ -9,6 +9,16 @@
     interval; tightness depends on the constraint families enabled
     ({!Constraints.config}).
 
+    {b Valid by construction.} Each endpoint of a solve is
+    [min (objective − margin) safe] for a minimum and
+    [max (objective + margin) safe] for a maximum, where [safe] is the
+    weak-duality bound of the solve's duals over the box
+    [0 <= π <= u] that the exact aggregated solution lies in
+    ({!Mapqn_lp.Certificate.safe_bound}, {!Marginal_space.upper_bound}).
+    The endpoint therefore bounds the exact value whatever the solver
+    did; on an accepted solve the safe bound lies within the margin and
+    the endpoint is the widened objective.
+
     {b Batch evaluation.} {!eval} is the primary query entry point: it
     evaluates a whole report of metrics in one sweep. On the default
     {!Revised} backend each optimization warm-starts from the basis left
@@ -48,11 +58,6 @@ type error =
   | Invalid_station of int  (** station index out of range *)
   | Invalid_objective of string
       (** malformed metric (negative moment order, level out of range) *)
-  | Certificate_failure of Mapqn_lp.Certificate.failure
-      (** an LP solve returned a point whose optimality certificate
-          (primal residual, dual feasibility, complementary slackness —
-          see {!Mapqn_lp.Certificate}) exceeds tolerance; the reported
-          interval would not be trustworthy *)
 
 val error_to_string : error -> string
 
@@ -73,38 +78,32 @@ val create :
   ?solver:solver ->
   ?config:Constraints.config ->
   ?max_iter:int ->
-  ?accept_uncertified:bool ->
   Mapqn_model.Network.t ->
   (t, error) result
 (** Build the LP and run phase 1. Default config is
     {!Constraints.standard}, default solver {!Revised}.
 
-    {b The rescue ladder.} Every reported optimum must pass its
-    optimality certificate. When one fails, the solve climbs a ladder
-    of increasingly drastic retries: refine (rebuild the factorization
-    and re-optimize), reperturb (fresh prepare at a 100× tighter
-    anti-degeneracy perturbation), cold re-solve (10× tighter, with a
-    longer perturbation-retry budget, warm-start state discarded; the
-    only rung that also serves a {!Dense} backend, which it re-prepares
-    on a shifted perturbation draw) and the dense-tableau oracle
-    (size-gated). The first rung whose result certifies wins and
+    {b The rescue ladder.} A solve is accepted when its primal residual
+    passes and its safe bound lies within the margin of its objective
+    ({!Mapqn_lp.Certificate.check}). When it is not, the solve climbs a
+    ladder of increasingly drastic retries: reperturb (fresh prepare at
+    a 100× tighter anti-degeneracy perturbation), cold re-solve (10×
+    tighter, with a longer perturbation-retry budget, warm-start state
+    discarded; the only rung that also serves a {!Dense} backend, which
+    it re-prepares on a shifted perturbation draw) and the dense-tableau
+    oracle (size-gated). The first rung whose solve is accepted wins and
     is recorded as a typed {!Mapqn_obs.Health.rescue} outcome in the run
-    ledger. A {!Revised} phase 1 that reports these always-feasible LPs
-    infeasible, or hits its iteration cap, climbs the same ladder
-    without the refine rung and returns its original error when the
-    ladder is exhausted.
-
-    An exhausted certificate ladder raises [Certificate_failure]. With
-    [accept_uncertified] (default [false]) it instead keeps the original
-    near-optimal objective and records {!Mapqn_obs.Health.Uncertified},
-    for harvest and diagnostic runs that must observe failures without
-    dying on them. *)
+    ledger. An exhausted ladder reports the tightest safe bound of every
+    solve it saw — valid, but of unproven tightness — and records
+    {!Mapqn_obs.Health.Uncertified}; it never raises. A {!Revised}
+    phase 1 that reports these always-feasible LPs infeasible, or hits
+    its iteration cap, climbs the same ladder and returns its original
+    error when the ladder is exhausted. *)
 
 val create_exn :
   ?solver:solver ->
   ?config:Constraints.config ->
   ?max_iter:int ->
-  ?accept_uncertified:bool ->
   Mapqn_model.Network.t ->
   t
 (** Like {!create}; raises {!Solver_error}. *)
@@ -220,7 +219,6 @@ module Sweep : sig
     ?config:Constraints.config ->
     ?max_iter:int ->
     ?warm_start:bool ->
-    ?accept_uncertified:bool ->
     (int -> Mapqn_model.Network.t) ->
     t
   (** [create network_of]: an engine for the family
@@ -228,9 +226,7 @@ module Sweep : sig
       differ only in population (same stations and routing — enforced by
       the constraint builder). [warm_start] (default [true]) is the
       opt-out flag: [false] prepares every population cold, which is the
-      reference behaviour warm results are tested against.
-      [accept_uncertified] is set on every stepped bounds instance, as
-      the top-level [create] takes it. *)
+      reference behaviour warm results are tested against. *)
 
   val step : t -> int -> (bounds, error) result
   (** Prepare the LP for one population, seeded from the previous

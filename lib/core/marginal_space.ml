@@ -157,6 +157,11 @@ let classify t idx =
     Role_z { counted; station; level; phase }
   end
 
+(* [v] and [w] are probabilities; [z] counts at most the population. *)
+let upper_bound t idx =
+  if idx < 0 || idx >= t.total then invalid_arg "Marginal_space.upper_bound";
+  if idx < t.z_base then 1. else float_of_int t.n
+
 let phase_component t h k = t.tuples.(h).(k)
 
 let phase_subst t h k b =

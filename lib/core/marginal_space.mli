@@ -54,6 +54,20 @@ type role =
 
 val classify : t -> int -> role
 
+val upper_bound : t -> int -> float
+(** The implied upper bound [u] of a variable: [1.] for [v] and [w], the
+    population [N] for [z].
+
+    {b Lemma.} The aggregation of the exact stationary distribution
+    ({!aggregate_exact}) lies in the box [0 <= π <= u]. [v_k(n,h)] and
+    [w_{j,k}(n,h)] are probabilities of events, so they lie in [\[0, 1\]].
+    [z_{j,k}(n,h) = E\[n_j · 1{n_k = n, phase = h}\]] is the expectation
+    of a product of [n_j <= N] and an indicator, so it lies in
+    [\[0, N\]]. The LP does not carry these bounds (its variables are
+    only nonnegative); a safe dual bound needs them
+    ({!Mapqn_lp.Certificate.safe_bound}), and holds for the exact
+    point because the lemma puts that point inside the box. *)
+
 val phase_component : t -> int -> int -> int
 (** [phase_component t h k]: station [k]'s phase in joint phase vector
     [h]. *)

@@ -25,7 +25,6 @@ type options = {
   seed : int;
   jobs : int;
   exact_upto : int;
-  accept_uncertified : bool;
 }
 
 let default_options =
@@ -37,7 +36,6 @@ let default_options =
     seed = 2008;
     jobs = 1;
     exact_upto = 0;
-    accept_uncertified = false;
   }
 
 let table1_bench =
@@ -59,7 +57,7 @@ type model_row = {
   bounds : (int * Bounds.interval) list;  (* (population, R bounds) *)
   rescues : (int * Health.rescue) list;
       (* populations whose eval engaged the rescue ladder, grid order *)
-  uncertified : int;  (* populations accepted without a certificate *)
+  uncertified : int;  (* populations whose rescue ladder was exhausted *)
   max_err_lower : float;  (* NaN when no population had an exact solve *)
   max_err_upper : float;
   bracket_violations : int;
@@ -84,13 +82,19 @@ type t = {
 
 let model_id index = Printf.sprintf "model-%05d" index
 
+let completed options path =
+  let ids = Hashtbl.create options.models in
+  for index = 0 to options.models - 1 do
+    Hashtbl.replace ids (model_id index) ()
+  done;
+  List.filter (Hashtbl.mem ids) (Mapqn_obs.Progress.load_completed path)
+
 let evaluate_model ?progress options index (model : Random_models.model) =
   let id = model_id index in
   let report f = Option.iter f progress in
   let t0 = Mapqn_obs.Span.now () in
   let sweep =
-    Bounds.Sweep.create ~config:options.config
-      ~accept_uncertified:options.accept_uncertified (fun population ->
+    Bounds.Sweep.create ~config:options.config (fun population ->
         Mapqn_model.Network.with_population model.Random_models.network
           population)
   in
@@ -175,7 +179,6 @@ let run ?(options = default_options) ?progress ?(skip = fun _ -> false) ?sink
   in
   let outcomes =
     Fleet.run_tasks ~jobs:(max 1 options.jobs) ?progress ~skip
-      ~certified:(fun row -> row.uncertified = 0)
       ~seed:options.seed ~ids:model_id ~total:(Array.length models)
       ~f:(fun index ->
         let row = evaluate_model ?progress options index models.(index) in
@@ -199,9 +202,9 @@ let run ?(options = default_options) ?progress ?(skip = fun _ -> false) ?sink
       0 outcomes
   in
   (* A failed model does not abort the run: at fleet scale a handful of
-     numerically hard random models (an LP certificate beyond tolerance
-     at a large population) must not cost the summary of the other ten
-     thousand. Failures are reported — and, emitting no "done"
+     numerically hard random models (a phase 1 the rescue ladder cannot
+     repair, at a large population) must not cost the summary of the
+     other ten thousand. Failures are reported — and, emitting no "done"
      heartbeat, retried by a resumed run. *)
   let failed =
     Array.to_list outcomes
@@ -330,8 +333,8 @@ let print t =
   in
   if uncertified > 0 then
     Printf.printf
-      "uncertified evals accepted: %d (rerun with --resume-from to retry \
-       those models)\n"
+      "uncertified evals: %d (their endpoints are safe bounds of unproven \
+       tightness)\n"
       uncertified;
   let top_n = List.fold_left max 0 t.options.populations in
   let row label (mean, std, median, maximum) =

@@ -29,17 +29,11 @@ type options = {
   exact_upto : int;
       (** also solve the exact CTMC and track bound errors for
           populations [<= exact_upto]; [0] disables (bounds only) *)
-  accept_uncertified : bool;
-      (** let a model whose rescue ladder is exhausted keep its best
-          uncertified bounds instead of failing — its row is flagged
-          ([uncertified]) and its checkpoint entry is stamped so a
-          resumed run retries it. Default [false]: an exhausted ladder
-          fails the model. *)
 }
 
 val default_options : options
 (** 100 models, populations [1;2;4;8;16;32;64;100], [full] constraints,
-    seed 2008, 1 job, no exact comparison, uncertified results fail. *)
+    seed 2008, 1 job, no exact comparison. *)
 
 val table1_bench : options
 (** Table 1 at bench scale: 12 models, populations [1;2;4;8], [full]
@@ -66,8 +60,8 @@ type model_row = {
           certificate-threatening residual), with the deepest rung
           engaged; grid order *)
   uncertified : int;
-      (** populations whose result was accepted without a passing
-          certificate (only with [accept_uncertified]) *)
+      (** populations whose rescue ladder was exhausted: their bounds are
+          safe dual bounds, valid but of unproven tightness *)
   max_err_lower : float;  (** vs exact over [N <= exact_upto]; NaN if none *)
   max_err_upper : float;
   bracket_violations : int;
@@ -80,9 +74,9 @@ type t = {
   skipped : int;
   failed : (string * exn) list;
       (** (model id, error) per failed model, index order. A failure —
-          typically an LP certificate beyond tolerance on a numerically
-          hard random model — does not abort the fleet; the model emits
-          no checkpoint entry, so a resumed run retries exactly it. *)
+          a solver error on a numerically hard random model — does not
+          abort the fleet; the model emits no checkpoint entry, so a
+          resumed run retries exactly it. *)
   wall_s : float;
   width_stats : float * float * float * float;
       (** (mean, std, median, max) of the relative response-time bound
@@ -104,10 +98,18 @@ val run :
     [progress], when given, receives one task per model (id
     ["model-NNNNN"], one phase per population). [skip id] (default never)
     excludes a model: generation is deterministic in [seed], so the ids
-    a previous run's heartbeat file marks done
-    ({!Mapqn_obs.Progress.load_completed}) resume a partial sweep, and
-    the statistics then cover the models evaluated this run. Per-model
-    failures land in [failed] rather than aborting the run. *)
+    a previous run's heartbeat file marks done ({!completed}) resume a
+    partial sweep, and the statistics then cover the models evaluated
+    this run. Per-model failures land in [failed] rather than aborting
+    the run. *)
+
+val completed : options -> string -> string list
+(** [completed options path]: the ids a heartbeat file records as done
+    or skipped ({!Mapqn_obs.Progress.load_completed}) that name a model
+    of this run — ["model-NNNNN"] with an index below [options.models],
+    in file order. Ids of another grid or format (a four-digit
+    ["model-NNNN"] id, say) name no model here and are dropped, so a
+    resume counts only the models it will skip. *)
 
 val row_to_json : model_row -> Mapqn_obs.Json.t
 (** The row as one self-describing JSONL object (the CLI's [--out]

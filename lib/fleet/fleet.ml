@@ -147,8 +147,8 @@ type 'a outcome = Done of 'a | Skipped | Failed of exn
 
 let task_seed ~seed index = Rng.derive ~seed index
 
-let run_tasks ?jobs ?(chunk = 1) ?progress ?(skip = fun _ -> false)
-    ?(certified = fun _ -> true) ~seed ~ids ~total ~f () =
+let run_tasks ?jobs ?(chunk = 1) ?progress ?(skip = fun _ -> false) ~seed ~ids
+    ~total ~f () =
   let report g = Option.iter g progress in
   let task index () =
     let id = ids index in
@@ -167,14 +167,8 @@ let run_tasks ?jobs ?(chunk = 1) ?progress ?(skip = fun _ -> false)
       let t0 = Span.now () in
       match Run_ctx.with_ ctx (fun () -> f index) with
       | v ->
-        (* A result the classifier deems uncertified still completes the
-           run, but its "done" heartbeat is stamped so a resumed run
-           retries the task (Progress.load_completed
-           ~require_certified). *)
         report (fun p ->
-            Progress.task_done p ~seed:task_seed
-              ~elapsed:(Span.now () -. t0)
-              ~certified:(certified v) id);
+            Progress.task_done p ~seed:task_seed ~elapsed:(Span.now () -. t0) id);
         Done v
       | exception e ->
         (* No "done" heartbeat: a resumed run must retry this task. *)

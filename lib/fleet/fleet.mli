@@ -72,7 +72,6 @@ val run_tasks :
   ?chunk:int ->
   ?progress:Mapqn_obs.Progress.t ->
   ?skip:(string -> bool) ->
-  ?certified:('a -> bool) ->
   seed:int ->
   ids:(int -> string) ->
   total:int ->
@@ -88,10 +87,5 @@ val run_tasks :
     [skip id] excludes a task (reported to [progress] as skipped, like a
     resume). Progress uses the explicit-id
     {!Mapqn_obs.Progress.task_start}/[task_done] events; a failed task
-    emits no ["done"] heartbeat, so a resumed run retries it.
-    [certified v] (default always [true]) classifies a completed task's
-    result: when [false], the ["done"] heartbeat is stamped
-    ["certified": false], so a resume that loads the checkpoint with
-    [Progress.load_completed ~require_certified:true] retries the task
-    just like a failure. The result array is in task order regardless of
-    scheduling. *)
+    emits no ["done"] heartbeat, so a resumed run retries it. The result
+    array is in task order regardless of scheduling. *)

@@ -1,8 +1,7 @@
-type t = {
-  primal_residual : float;
-  dual_violation : float;
-  comp_slack : float;
-}
+type t = { primal_residual : float; safe_bound : float; gap : float }
+
+let default_tol_primal = 1e-5
+let margin v = 1e-5 *. Float.max 1. (Float.abs v)
 
 (* Kahan-compensated dot-product accumulator: the balance rows mix
    coefficients across many orders of magnitude, and the certificate
@@ -17,136 +16,114 @@ let row_value model r x =
       sum := t);
   !sum
 
-let compute_at model direction ~(objective : (Lp_model.var * float) list)
-    ~(point : float array) (s : Simplex.solution) =
+(* Worst violation of the rows, by sense, and of the variable bounds. *)
+let primal_residual model x =
+  let worst = ref 0. in
+  let bump v = if v > !worst then worst := v in
+  for r = 0 to Lp_model.num_rows model - 1 do
+    let slack = row_value model r x -. Lp_model.row_rhs model r in
+    match Lp_model.row_sense model r with
+    | Lp_model.Eq -> bump (Float.abs slack)
+    | Lp_model.Le -> bump slack
+    | Lp_model.Ge -> bump (-.slack)
+  done;
+  for j = 0 to Lp_model.num_vars model - 1 do
+    let lb, ub = Lp_model.var_bounds model (Lp_model.var_of_int model j) in
+    if Float.is_finite lb then bump (lb -. x.(j));
+    if Float.is_finite ub then bump (x.(j) -. ub)
+  done;
+  !worst
+
+(* γ(n) = n·u / (1 − n·u), the relative error bound of an n-term
+   floating-point sum or dot product (Higham, §3.1). *)
+let gamma n =
+  let nu = float_of_int n *. (epsilon_float /. 2.) in
+  nu /. (1. -. nu)
+
+let safe_bound ~upper model direction ~objective ~duals =
   let n = Lp_model.num_vars model in
   let m = Lp_model.num_rows model in
-  let x = point in
-  (* Orient everything as minimization: for a maximization
-     [max c'x = -min (-c)'x], both the costs and the reported
-     rhs-sensitivities flip sign. *)
+  if Array.length upper <> n then invalid_arg "Certificate.safe_bound: upper";
+  (* Orient as minimization: [max c·x = −min (−c)·x], and the multipliers
+     flip with the costs. *)
   let sign =
     match direction with Simplex.Minimize -> 1. | Simplex.Maximize -> -1.
   in
-  let c = Array.make n 0. in
+  (* d = c − Aᵀy, with each column's term count and Σ|terms| for its
+     rounding bound. *)
+  let d = Array.make n 0. and mag = Array.make n 0. and terms = Array.make n 0 in
+  let add j v =
+    d.(j) <- d.(j) +. v;
+    mag.(j) <- mag.(j) +. Float.abs v;
+    terms.(j) <- terms.(j) + 1
+  in
   List.iter
-    (fun ((v : Lp_model.var), coeff) ->
-      c.((v :> int)) <- c.((v :> int)) +. (sign *. coeff))
+    (fun ((v : Lp_model.var), coeff) -> add (v :> int) (sign *. coeff))
     objective;
-  let y = Array.init m (fun r -> sign *. s.Simplex.duals.(r)) in
-  (* Reduced costs d = c − A'y, accumulated row-wise over the sparse
-     terms. *)
-  let d = Array.copy c in
+  (* The sum b·y + Σⱼ min(0, dⱼ − eⱼ)·uⱼ and its own rounding bound. *)
+  let sum = ref 0. and sum_mag = ref 0. and count = ref 0 in
+  let term v =
+    sum := !sum +. v;
+    sum_mag := !sum_mag +. Float.abs v;
+    incr count
+  in
   for r = 0 to m - 1 do
-    let yr = y.(r) in
-    if yr <> 0. then
-      Lp_model.iter_row_terms model r (fun v a ->
-          d.((v :> int)) <- d.((v :> int)) -. (yr *. a))
+    (* For a minimization, relaxing a [<=] row cannot raise the optimum,
+       so its multiplier must be <= 0, and symmetrically for [>=]. *)
+    let y = sign *. duals.(r) in
+    let y =
+      if not (Float.is_finite y) then 0.
+      else
+        match Lp_model.row_sense model r with
+        | Lp_model.Eq -> y
+        | Lp_model.Le -> Float.min y 0.
+        | Lp_model.Ge -> Float.max y 0.
+    in
+    if y <> 0. then begin
+      term (Lp_model.row_rhs model r *. y);
+      Lp_model.iter_row_terms model r (fun v a -> add (v :> int) (-.(a *. y)))
+    end
   done;
-  let max_abs arr = Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. arr in
-  (* Normalizations: dual quantities scale with ‖c‖ and ‖y‖, slack
-     products additionally with ‖x‖. *)
-  let scale_d = 1. +. max_abs c +. max_abs y in
-  let scale_cs = scale_d *. (1. +. max_abs x) in
-  let primal = ref 0. and dual = ref 0. and comp = ref 0. in
-  let bump cell v = if v > !cell then cell := v in
-  (* Rows: primal feasibility by sense; dual sign condition (for a
-     minimization, relaxing a [<=] row cannot raise the optimum, so its
-     multiplier must be <= 0, and symmetrically for [>=]); slack
-     complementarity. *)
-  for r = 0 to m - 1 do
-    let v = row_value model r x in
-    let b = Lp_model.row_rhs model r in
-    let slack = v -. b in
-    (match Lp_model.row_sense model r with
-    | Lp_model.Eq -> bump primal (Float.abs slack)
-    | Lp_model.Le ->
-      bump primal (Float.max 0. slack);
-      bump dual (Float.max 0. y.(r) /. scale_d)
-    | Lp_model.Ge ->
-      bump primal (Float.max 0. (-.slack));
-      bump dual (Float.max 0. (-.y.(r)) /. scale_d));
-    bump comp (Float.abs (y.(r) *. slack) /. scale_cs)
-  done;
-  (* Columns: bound feasibility; a positive reduced cost must be
-     absorbed by a finite lower bound (the variable pressed against it),
-     a negative one by a finite upper bound — otherwise the dual is
-     infeasible. When the bound exists, complementarity measures how far
-     the variable actually sits from it. *)
   for j = 0 to n - 1 do
     let lb, ub = Lp_model.var_bounds model (Lp_model.var_of_int model j) in
-    let xj = x.(j) in
-    if Float.is_finite lb then bump primal (Float.max 0. (lb -. xj));
-    if Float.is_finite ub then bump primal (Float.max 0. (xj -. ub));
-    let dj = d.(j) in
-    if dj > 0. then
-      if Float.is_finite lb then
-        bump comp (dj *. Float.max 0. (xj -. lb) /. scale_cs)
-      else bump dual (dj /. scale_d)
-    else if dj < 0. then
-      if Float.is_finite ub then
-        bump comp (-.dj *. Float.max 0. (ub -. xj) /. scale_cs)
-      else bump dual (-.dj /. scale_d)
+    if lb <> 0. then invalid_arg "Certificate.safe_bound: lower bound not 0";
+    let d_low = d.(j) -. (2. *. gamma (terms.(j) + 1) *. mag.(j)) in
+    if not (d_low >= 0.) then term (d_low *. Float.min upper.(j) ub)
   done;
-  { primal_residual = !primal; dual_violation = !dual; comp_slack = !comp }
+  let bound = !sum -. (2. *. gamma (!count + 2) *. !sum_mag) in
+  sign *. if Float.is_nan bound then neg_infinity else bound
 
-let compute model direction ~objective (s : Simplex.solution) =
-  compute_at model direction ~objective ~point:s.Simplex.values s
-
-type failure = {
-  certificate : t;
-  quantity : string;
-  value : float;
-  tolerance : float;
-}
-
-let failure_to_string f =
-  Printf.sprintf
-    "LP certificate failed: %s = %.3e exceeds tolerance %.1e (primal %.3e, \
-     dual %.3e, comp-slack %.3e)"
-    f.quantity f.value f.tolerance f.certificate.primal_residual
-    f.certificate.dual_violation f.certificate.comp_slack
-
-let default_tol_primal = 1e-5
-let default_tol_dual = 1e-6
-let default_tol_comp = 1e-6
-
-let check ?(tol_primal = default_tol_primal) ?(tol_dual = default_tol_dual)
-    ?(tol_comp = default_tol_comp) model direction ~objective s =
-  let judge cert =
-    let fail quantity value tolerance =
-      Error { certificate = cert; quantity; value; tolerance }
-    in
-    if not (cert.primal_residual <= tol_primal) then
-      fail "primal_residual" cert.primal_residual tol_primal
-    else if not (cert.dual_violation <= tol_dual) then
-      fail "dual_violation" cert.dual_violation tol_dual
-    else if not (cert.comp_slack <= tol_comp) then
-      fail "comp_slack" cert.comp_slack tol_comp
-    else Ok cert
+let gap_of direction ~objective ~safe =
+  let distance =
+    match direction with
+    | Simplex.Minimize -> objective -. safe
+    | Simplex.Maximize -> safe -. objective
   in
+  distance /. margin objective
+
+let compute ~upper model direction ~objective (s : Simplex.solution) =
+  let safe = safe_bound ~upper model direction ~objective ~duals:s.duals in
+  {
+    primal_residual = primal_residual model s.values;
+    safe_bound = safe;
+    gap = gap_of direction ~objective:s.objective ~safe;
+  }
+
+let check ?(tol_primal = default_tol_primal) ~upper model direction ~objective
+    (s : Simplex.solution) =
+  let exact = compute ~upper model direction ~objective s in
   (* The exact point first: on well-conditioned bases it certifies to
      near machine precision. When the basis is ill-conditioned the exact
      point can sit off degenerate rows by conditioning × perturbation,
      so fall back to the feasibility witness, whose error is bounded by
      the solver's perturbation and accepted-infeasibility budget
-     independent of conditioning (see {!Simplex.solution}). *)
-  let verdict =
-    match
-      judge (compute_at model direction ~objective ~point:s.Simplex.values s)
-    with
-    | Ok cert -> Ok cert
-    | Error _ ->
-      judge (compute_at model direction ~objective ~point:s.Simplex.witness s)
+     independent of conditioning (see {!Simplex.solution}). The safe
+     bound does not depend on the point. *)
+  let cert =
+    if exact.primal_residual <= tol_primal then exact
+    else { exact with primal_residual = primal_residual model s.witness }
   in
-  (* The judged certificate (exact point, or the witness it fell back
-     to) is what callers act on — that is the one health telemetry and
-     the run ledger must carry. *)
-  let cert, accepted =
-    match verdict with
-    | Ok cert -> (cert, true)
-    | Error f -> (f.certificate, false)
-  in
+  let accepted = cert.primal_residual <= tol_primal && cert.gap <= 1. in
   Mapqn_obs.Health.observe_certificate ~primal:cert.primal_residual
-    ~dual:cert.dual_violation ~comp:cert.comp_slack ~accepted;
-  verdict
+    ~gap:cert.gap ~accepted;
+  if accepted then Ok cert else Error cert

@@ -118,7 +118,6 @@ type t = {
   n_struct : int;  (* structural standard-form columns *)
   n_total : int;  (* + phase-1 artificials *)
   cols : Csr.t;  (* column-major matrix: row j = standard-form column j *)
-  a_nnz : int;
   art_row : int array;  (* artificial k (column n_struct + k) -> its row *)
   art_sign : float array;  (* the artificial of row i is art_sign.(i)·e_i *)
   basis : int array;  (* basic column of each row *)
@@ -127,9 +126,6 @@ type t = {
   etas : Eta_file.t;
   mutable base_eta_nnz : int;  (* eta nnz right after the last refactor *)
   mutable pivots_since_refactor : int;
-  mutable worst_infeas : float;
-      (* most negative exact basic value found (and clamped) by the last
-         refactorization — the divergence signal of [run_phase] *)
   xb : float array;  (* basic values under the perturbed right-hand side *)
   rhs_pert : float array;
   pert_scale : float;
@@ -253,17 +249,9 @@ let refactor t =
      or an ill-conditioned stretch of the trajectory) — the path
      continues from the clamped point, phase 1 prices the infeasibility
      away again, and optimality is certified by pricing, not by xb. *)
-  t.worst_infeas <- 0.;
   for i = 0 to t.m - 1 do
-    if t.xb.(i) < 0. then begin
-      if t.xb.(i) < t.worst_infeas then t.worst_infeas <- t.xb.(i);
-      t.xb.(i) <- 0.
-    end
+    if t.xb.(i) < 0. then t.xb.(i) <- 0.
   done;
-  if t.worst_infeas < -1e-7 then
-    Log.debug (fun f ->
-        f "refactor: clamped infeasible basic values (worst %g)"
-          t.worst_infeas);
   t.base_eta_nnz <- Eta_file.nnz t.etas;
   Metrics.set m_eta_nnz (float_of_int (Eta_file.nnz t.etas));
   if Trace.is_enabled () then
@@ -637,7 +625,6 @@ let build_state ?(pert_scale = 1.) std salt =
   done;
   let in_basis = Array.make n_total false in
   Array.iter (fun c -> in_basis.(c) <- true) basis;
-  let a_nnz = Csr.nnz cols in
   let t =
     {
       std;
@@ -645,7 +632,6 @@ let build_state ?(pert_scale = 1.) std salt =
       n_struct;
       n_total;
       cols;
-      a_nnz;
       art_row;
       art_sign;
       basis;
@@ -654,7 +640,6 @@ let build_state ?(pert_scale = 1.) std salt =
       etas = Eta_file.create ();
       base_eta_nnz = 0;
       pivots_since_refactor = 0;
-      worst_infeas = 0.;
       xb = Array.map Float.abs rhs_pert;
       rhs_pert;
       pert_scale;

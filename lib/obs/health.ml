@@ -3,9 +3,10 @@
    The revised simplex and the certificate checker report what their
    numerics looked like — eta-chain drift sampled on the reinversion
    triggers, degeneracy streaks, perturbation-ladder depth, rescue rungs,
-   refinement residuals and the certificate residual triple — into one
-   module that (a) mirrors everything into the {!Metrics} registry and
-   (b) keeps a per-solve snapshot the run ledger embeds in each record.
+   refinement residuals and the certificate's primal residual and gap —
+   into one module that (a) mirrors everything into the {!Metrics}
+   registry and (b) keeps a per-solve snapshot the run ledger embeds in
+   each record.
    A field stays only while something reads it: [mapqn doctor], the
    corpus tests or perfbench.
 
@@ -54,8 +55,7 @@ type snapshot = {
   bland_switches : int;
   perturbation_salt : int;
   cert_primal : float;
-  cert_dual : float;
-  cert_comp : float;
+  cert_gap : float;
   cert_failures : int;
   rescue : rescue option;
   refine_residual : float;
@@ -68,8 +68,7 @@ let empty =
     bland_switches = 0;
     perturbation_salt = 0;
     cert_primal = 0.;
-    cert_dual = 0.;
-    cert_comp = 0.;
+    cert_gap = 0.;
     cert_failures = 0;
     rescue = None;
     refine_residual = 0.;
@@ -156,31 +155,35 @@ let observe_salt salt =
 
 let c_rescue_refined =
   Metrics.counter
-    ~help:"Certificate rescues resolved by iterative refinement (rung 1)."
+    ~help:
+      "Solves whose post-solve iterative refinement corrected a \
+       certificate-threatening residual."
     "health_rescue_refined_total"
 
 let c_rescue_reperturbed =
   Metrics.counter
     ~help:
       "Certificate rescues resolved by re-solving at a tighter perturbation \
-       scale (rung 2)."
+       scale (first rung)."
     "health_rescue_reperturbed_total"
 
 let c_rescue_cold =
   Metrics.counter
-    ~help:"Certificate rescues resolved by a cold re-solve (rung 3)."
+    ~help:"Certificate rescues resolved by a cold re-solve (second rung)."
     "health_rescue_cold_resolve_total"
 
 let c_rescue_dense =
   Metrics.counter
-    ~help:"Certificate rescues resolved by the dense-tableau oracle (rung 4)."
+    ~help:
+      "Certificate rescues resolved by the dense-tableau oracle (third \
+       rung)."
     "health_rescue_dense_oracle_total"
 
 let c_rescue_uncertified =
   Metrics.counter
     ~help:
       "Solves whose rescue ladder was exhausted without a passing \
-       certificate."
+       certificate (the endpoint is the tightest safe bound seen)."
     "health_rescue_uncertified_total"
 
 let g_refine_residual =
@@ -205,13 +208,12 @@ let observe_refinement ~residual =
   update (fun c ->
       { c with refine_residual = Float.max c.refine_residual residual })
 
-let observe_certificate ~primal ~dual ~comp ~accepted =
+let observe_certificate ~primal ~gap ~accepted =
   update (fun c ->
       {
         c with
         cert_primal = Float.max c.cert_primal primal;
-        cert_dual = Float.max c.cert_dual dual;
-        cert_comp = Float.max c.cert_comp comp;
+        cert_gap = Float.max c.cert_gap gap;
         cert_failures = (c.cert_failures + if accepted then 0 else 1);
       })
 

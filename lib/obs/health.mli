@@ -4,7 +4,8 @@
     numerical health here: eta-chain residual drift sampled on the
     reinversion triggers, degeneracy streaks and Bland switches, the
     depth of the anti-degeneracy perturbation ladder, the rescue rung,
-    the refinement residual and the certificate residual triple. Each
+    the refinement residual and the certificate's primal residual and
+    gap. Each
     snapshot field has a reader: [mapqn doctor] ({!Ledger.doctor}), the
     corpus tests' cause attribution, or perfbench's rescue counters.
 
@@ -25,12 +26,14 @@
     solve — never on the per-pivot path. *)
 
 type rescue = Refined | Reperturbed | Cold_resolve | Dense_oracle | Uncertified
-(** The rung of the certificate rescue ladder that produced (or failed
-    to produce) a passing certificate for a solve. [Refined] also covers
-    the always-on post-solve iterative refinement when it had to correct
-    a residual large enough to have threatened the certificate. Ordered:
-    each constructor is a strictly deeper escalation than the previous,
-    and [Uncertified] means the whole ladder was exhausted. *)
+(** What produced (or failed to produce) a passing certificate for a
+    solve. [Refined]: the always-on post-solve iterative refinement had
+    to correct a residual large enough to have threatened the
+    certificate. [Reperturbed], [Cold_resolve] and [Dense_oracle] are the
+    rungs of the rescue ladder ([Bounds]). [Uncertified]: the whole
+    ladder was exhausted, and the endpoint is the tightest safe bound
+    seen — valid, but of unproven tightness. Ordered: each constructor
+    is a strictly deeper escalation than the previous. *)
 
 val rescue_depth_of : rescue -> int
 (** Ladder depth, 1 ([Refined]) to 5 ([Uncertified]). *)
@@ -51,9 +54,10 @@ type snapshot = {
   bland_switches : int;  (** stalls that forced Bland's rule *)
   perturbation_salt : int;  (** deepest perturbation-ladder salt *)
   cert_primal : float;  (** worst certificate primal residual *)
-  cert_dual : float;  (** worst certificate dual violation *)
-  cert_comp : float;  (** worst certificate complementary-slackness gap *)
-  cert_failures : int;  (** certificates that exceeded tolerance *)
+  cert_gap : float;
+      (** worst certificate gap: the distance from an objective to its
+          safe dual bound, as a fraction of the reporting margin *)
+  cert_failures : int;  (** certificates that were not accepted *)
   rescue : rescue option;
       (** deepest rescue rung engaged this solve, [None] when no rescue
           was needed *)
@@ -80,8 +84,7 @@ val observe_degeneracy_streak : int -> unit
 val observe_stall : unit -> unit
 val observe_salt : int -> unit
 
-val observe_certificate :
-  primal:float -> dual:float -> comp:float -> accepted:bool -> unit
+val observe_certificate : primal:float -> gap:float -> accepted:bool -> unit
 
 val observe_rescue : rescue -> unit
 (** Record that a rescue rung produced this solve's accepted result (or,

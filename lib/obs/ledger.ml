@@ -3,8 +3,8 @@
    One record per unit of solver work (a [Bounds.eval], a sweep
    preparation step, a simulator run) carrying provenance — git SHA,
    model fingerprint, PRNG seed, solver configuration — and outcome:
-   bound values, pivot/refactorization deltas, the certificate residual
-   triple and the numerical-health snapshot ({!Health}).
+   bound values, pivot/refactorization deltas, the certificate's primal
+   residual and gap, and the numerical-health snapshot ({!Health}).
 
    Records are written crash-safely: the file is opened in append mode
    and flushed after every record, so the ledger of a killed sweep is
@@ -413,7 +413,7 @@ let where_of i r =
   if n >= 0 then Printf.sprintf "%s N=%d (record %d)" (event r) n i
   else Printf.sprintf "%s (record %d)" (event r) i
 
-let doctor ?(tol_primal = 1e-5) ?(tol_dual = 1e-6) ?(tol_comp = 1e-6) records =
+let doctor ?(tol_primal = 1e-5) records =
   let findings = ref [] in
   let add severity code where detail =
     findings := { severity; code; where; detail } :: !findings
@@ -423,29 +423,21 @@ let doctor ?(tol_primal = 1e-5) ?(tol_dual = 1e-6) ?(tol_comp = 1e-6) records =
       (fun _ r -> match event r with "eval" | "sweep_step" -> true | _ -> false)
       records
   in
-  (* Residual ratio (value / recorded-or-default tolerance) of the worst
-     certificate quantity of one record. *)
+  (* Ratio to its tolerance of the worst certificate quantity of one
+     record: the primal residual against the recorded (or default)
+     tolerance, or the gap, already a fraction of the margin it must stay
+     within. *)
   let cert_ratio r =
     match Json.member "certificate" r with
     | None -> None
     | Some cert ->
-      let quantity name default_tol tol_field =
-        let v = num name cert in
-        let tol = num ~default:default_tol tol_field cert in
-        (v /. Float.max tol 1e-300, name, v, tol)
-      in
-      let candidates =
-        [
-          quantity "primal_residual" tol_primal "tol_primal";
-          quantity "dual_violation" tol_dual "tol_dual";
-          quantity "comp_slack" tol_comp "tol_comp";
-        ]
-      in
+      let primal = num "primal_residual" cert in
+      let tol = num ~default:tol_primal "tol_primal" cert in
+      let gap = num "gap" cert in
+      let by_primal = primal /. Float.max tol 1e-300 in
       Some
-        (List.fold_left
-           (fun (br, bn, bv, bt) (r', n', v', t') ->
-             if r' > br then (r', n', v', t') else (br, bn, bv, bt))
-           (List.hd candidates) (List.tl candidates))
+        (if gap > by_primal then (gap, "gap", gap, 1.)
+         else (by_primal, "primal_residual", primal, tol))
   in
   List.iteri
     (fun i r ->
@@ -460,22 +452,19 @@ let doctor ?(tol_primal = 1e-5) ?(tol_dual = 1e-6) ?(tol_comp = 1e-6) records =
           add Fail "cert-uncertified" where
             (Printf.sprintf
                "rescue ladder exhausted without a passing certificate (worst \
-                %s = %.3e vs tolerance %.1e)"
+                %s = %.3e vs tolerance %.1e): the endpoint is a safe bound \
+                of unproven tightness"
                quantity value tol)
         else if failures > 0. || ratio > 1. then
-          if rescue_depth > 0. then
-            (* The recorded residual triple keeps the WORST values seen,
-               including the failed pre-rescue attempts — a rescued
-               record is a recovery, not a failure. *)
-            add Warn "cert-rescued" where
-              (Printf.sprintf
-                 "certificate initially failed (%s = %.3e vs tolerance %.1e); \
-                  rescued via %s (rung %.0f)"
-                 quantity value tol rescue_cause rescue_depth)
-          else
-            add Fail "cert-failure" where
-              (Printf.sprintf "certificate %s = %.3e exceeds tolerance %.1e"
-                 quantity value tol)
+          (* A failed acceptance always climbs the rescue ladder, and the
+             recorded certificate keeps the WORST values seen, including
+             the failed pre-rescue attempts — a rescued record is a
+             recovery, not a failure. *)
+          add Warn "cert-rescued" where
+            (Printf.sprintf
+               "certificate initially failed (%s = %.3e vs tolerance %.1e); \
+                rescued via %s (depth %.0f)"
+               quantity value tol rescue_cause rescue_depth)
         else if ratio >= near_miss_fraction then
           add Warn "cert-near-miss" where
             (Printf.sprintf

@@ -4,7 +4,7 @@
     a simulator run — carrying provenance (git SHA, model fingerprint,
     PRNG seed, solver configuration, warm/cold status) and outcome
     (bound values, pivot and refactorization deltas, phase timings, the
-    certificate residual triple, and the {!Health} snapshot).
+    certificate's primal residual and gap, and the {!Health} snapshot).
 
     The stream is crash-safe: the file is opened in append mode and
     flushed after every record, so the ledger of a killed sweep is
@@ -116,22 +116,18 @@ type finding = {
 
 val severity_to_string : severity -> string
 
-val doctor :
-  ?tol_primal:float ->
-  ?tol_dual:float ->
-  ?tol_comp:float ->
-  Json.t list ->
-  finding list
+val doctor : ?tol_primal:float -> Json.t list -> finding list
 (** Scan solver records for numerical-trust hazards: certificate
-    failures and near-misses (residual at ≥25% of tolerance), rescue
-    outcomes (a record whose certificate initially failed but whose
-    rescue-ladder rung repassed it is a Warn [cert-rescued], a rescue
-    recorded with no failed check an Info, and an exhausted ladder a
-    Fail [cert-uncertified]), drift-triggered reinversions, degeneracy
-    stalls, perturbation-ladder retries, and the historical Fig-8
-    signature — the worst certificate residual of the run sitting at
-    the largest population. Tolerances default to the {!Certificate}
-    defaults and are overridden per record when the record carries its
-    own. *)
+    near-misses (primal residual at ≥25% of its tolerance, or gap at
+    ≥25% of the margin), rescue outcomes (a record whose certificate
+    initially failed — every failed check climbs the rescue ladder — is
+    a Warn [cert-rescued], a rescue recorded with no failed check an
+    Info, and an exhausted ladder a Fail [cert-uncertified]),
+    drift-triggered reinversions, degeneracy stalls, perturbation-ladder
+    retries, and the historical Fig-8 signature — the worst certificate
+    residual of the run sitting at the largest population. The primal
+    tolerance defaults to the {!Certificate} default and is overridden
+    per record when the record carries its own; the gap is a fraction
+    of the margin, so its tolerance is [1]. *)
 
 val render_findings : finding list -> string

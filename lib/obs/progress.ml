@@ -96,7 +96,7 @@ let eta_cell_u t =
 (* Heartbeats (caller holds the lock)                                  *)
 (* ------------------------------------------------------------------ *)
 
-let heartbeat_u ?(extra = []) t ~event ~model ~seed ~phase ~elapsed:dt =
+let heartbeat_u t ~event ~model ~seed ~phase ~elapsed:dt =
   match t.heartbeat with
   | None -> ()
   | Some oc ->
@@ -109,7 +109,6 @@ let heartbeat_u ?(extra = []) t ~event ~model ~seed ~phase ~elapsed:dt =
         :: (opt "model" (fun m -> Json.String m) model
            @ opt "seed" (fun s -> Json.Number (float_of_int s)) seed
            @ opt "phase" (fun p -> Json.String p) phase
-           @ extra
            @ [
                ("elapsed", Json.Number (Float.max 0. dt));
                ("completed", Json.Number (float_of_int t.completed));
@@ -194,15 +193,10 @@ let task_phase t ~id name =
         ~phase:(Some name) ~elapsed:0.;
       redraw_u t)
 
-let task_done t ?seed ?(elapsed = 0.) ?(certified = true) id =
+let task_done t ?seed ?(elapsed = 0.) id =
   locked t (fun () ->
       t.completed <- t.completed + 1;
-      (* The flag is only written when false: "done" records stay
-         byte-compatible with pre-rescue heartbeat files, and a missing
-         flag reads as certified. *)
-      let extra = if certified then [] else [ ("certified", Json.Bool false) ] in
-      heartbeat_u ~extra t ~event:"done" ~model:(Some id) ~seed ~phase:None
-        ~elapsed;
+      heartbeat_u t ~event:"done" ~model:(Some id) ~seed ~phase:None ~elapsed;
       if not t.tty && t.out <> None then
         println_u t
           (Printf.sprintf "%s [%d/%d] %s done in %s%s" t.label t.completed
@@ -235,16 +229,8 @@ let close t =
 (* Model ids recorded as completed ("done" — or "skip", which a resumed
    run emits for models it found already done) in a heartbeat JSONL
    file. Missing files and unparsable lines yield no ids rather than
-   errors: a heartbeat file is best-effort by design.
-
-   [require_certified] drops "done" records carrying
-   ["certified": false] — models whose run ended on a
-   rescued-but-uncertified rung. A resumed run then retries them just
-   like outright failures (which emit no "done" at all), so harvesting
-   with an accept-uncertified policy cannot silently pin partial
-   rescues. Records without the flag (all pre-rescue heartbeat files)
-   read as certified. *)
-let load_completed ?(require_certified = false) path =
+   errors: a heartbeat file is best-effort by design. *)
+let load_completed path =
   if not (Sys.file_exists path) then []
   else begin
     let ic = open_in path in
@@ -257,13 +243,8 @@ let load_completed ?(require_certified = false) path =
          | Error _ -> ()
          | Ok j -> (
            match (Json.member "event" j, Json.member "model" j) with
-           | Some (Json.String (("done" | "skip") as ev)), Some (Json.String id)
-             ->
-             let uncertified =
-               require_certified && ev = "done"
-               && Json.member "certified" j = Some (Json.Bool false)
-             in
-             if (not uncertified) && not (Hashtbl.mem seen id) then begin
+           | Some (Json.String ("done" | "skip")), Some (Json.String id) ->
+             if not (Hashtbl.mem seen id) then begin
                Hashtbl.add seen id ();
                ids := id :: !ids
              end

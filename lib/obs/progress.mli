@@ -45,15 +45,11 @@ val task_phase : t -> id:string -> string -> unit
 (** Emit a ["phase"] heartbeat for model [id]. It carries no seed; the
     task's ["start"] and ["done"] records do. *)
 
-val task_done :
-  t -> ?seed:int -> ?elapsed:float -> ?certified:bool -> string -> unit
+val task_done : t -> ?seed:int -> ?elapsed:float -> string -> unit
 (** Emit a ["done"] heartbeat for model [id] and bump [completed].
     [elapsed] is the task's own wall time as measured by the caller
     (the reporter cannot attribute shared wall time to one of several
-    in-flight tasks); defaults to [0.]. [certified] (default [true])
-    marks whether every solve of the task passed its optimality
-    certificate; [false] stamps ["certified": false] on the record so
-    {!load_completed} [~require_certified:true] will not count it. *)
+    in-flight tasks); defaults to [0.]. *)
 
 val close : t -> unit
 (** Clear the live line, print a final summary, flush the heartbeat
@@ -66,10 +62,7 @@ val eta_seconds : t -> float option
 (** [elapsed / completed * remaining]; [None] until the first model
     completes or once everything is done. *)
 
-val load_completed : ?require_certified:bool -> string -> string list
+val load_completed : string -> string list
 (** Model ids recorded as done (or skipped) in a heartbeat JSONL file,
     deduplicated, in file order. A missing file or unparsable lines
-    yield no ids rather than an error. [~require_certified:true]
-    (default [false]) additionally drops ["done"] records stamped
-    ["certified": false] — a resumed fleet run then re-runs
-    rescued-but-uncertified models exactly like failed ones. *)
+    yield no ids rather than an error. *)

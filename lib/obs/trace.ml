@@ -14,8 +14,7 @@ type event =
   | Certificate of {
       label : string;
       primal_residual : float;
-      dual_violation : float;
-      comp_slack : float;
+      gap : float;
       accepted : bool;
     }
   | Mark of { name : string; detail : string }
@@ -175,8 +174,7 @@ let event_args ev : (string * Json.t) list =
     [
       ("label", Json.String c.label);
       ("primal_residual", Json.Number c.primal_residual);
-      ("dual_violation", Json.Number c.dual_violation);
-      ("comp_slack", Json.Number c.comp_slack);
+      ("gap", Json.Number c.gap);
       ("accepted", Json.Bool c.accepted);
     ]
   | Mark m -> [ ("detail", Json.String m.detail) ]

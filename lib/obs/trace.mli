@@ -40,8 +40,9 @@ type event =
   | Certificate of {
       label : string;  (** objective label, e.g. ["min"]/["max"] *)
       primal_residual : float;
-      dual_violation : float;
-      comp_slack : float;
+      gap : float;
+          (** distance from the objective to its safe dual bound, as a
+              fraction of the reporting margin *)
       accepted : bool;
     }  (** Result of an LP solution certificate check ({!Mapqn_core.Bounds}). *)
   | Mark of { name : string; detail : string }

@@ -85,6 +85,20 @@ let test_describe () =
 
 (* ---------------- exact feasibility (the key correctness theorem) ------- *)
 
+(* The implied-bound lemma of [Marginal_space.upper_bound]: the exact
+   point lies in the box 0 <= π <= u (up to the rounding of its partial
+   sums); [None], or the first variable outside it. *)
+let outside_box ms point =
+  let rec find i =
+    if i = Array.length point then None
+    else
+      let u = Marginal_space.upper_bound ms i in
+      let tol = 1e-12 *. u in
+      if point.(i) >= -.tol && point.(i) <= u +. tol then find (i + 1)
+      else Some (Marginal_space.describe ms i)
+  in
+  find 0
+
 (* Every constraint family must be satisfied by the aggregated exact
    solution: the constraints are exact consequences of global balance. *)
 let exact_point_feasible net () =
@@ -93,9 +107,12 @@ let exact_point_feasible net () =
     (fun (name, config) ->
       let ms, model = Constraints.build config net in
       let point = Marginal_space.aggregate_exact ms sol in
-      match Mapqn_lp.Lp_model.check_feasible ~tol:1e-7 model point with
+      (match Mapqn_lp.Lp_model.check_feasible ~tol:1e-7 model point with
       | Ok () -> ()
-      | Error e -> Alcotest.failf "[%s] exact point infeasible: %s" name e)
+      | Error e -> Alcotest.failf "[%s] exact point infeasible: %s" name e);
+      match outside_box ms point with
+      | None -> ()
+      | Some v -> Alcotest.failf "[%s] exact point outside [0, u] at %s" name v)
     all_configs
 
 let test_cut_balance_residual_zero () =
@@ -466,8 +483,72 @@ let prop_exact_point_always_feasible =
       let ms, model = Constraints.build Constraints.standard net in
       let point = Marginal_space.aggregate_exact ms sol in
       match Mapqn_lp.Lp_model.check_feasible ~tol:1e-7 model point with
-      | Ok () -> true
+      | Ok () -> outside_box ms point = None
       | Error _ -> false)
+
+(* Validity needs no optimality: the safe bound of ANY multipliers (any
+   signs, any magnitudes) brackets the exact point's objective value,
+   for random objectives over both the standard and the level-2 space.
+   Three multiplier sets per draw: random ones, the revised solver's
+   own optimal duals (the tight case), and those duals perturbed. The
+   exact point satisfies the rows only up to rounding, so each side is
+   allowed Σ_r |y_r|·|a_r·π − b_r| plus 1e-12 of Σ|c_j π_j|. *)
+let prop_safe_bound_any_multipliers =
+  let module Lp = Mapqn_lp.Lp_model in
+  let module Certificate = Mapqn_lp.Certificate in
+  let module Simplex = Mapqn_lp.Simplex in
+  QCheck.Test.make ~name:"safe bounds of any multipliers bracket the exact point"
+    ~count:15 arb_random_network (fun ((seed, _) as params) ->
+      let net = random_network params in
+      let sol = Solution.solve net in
+      let rng = Mapqn_prng.Rng.create ~seed:(seed + 1) in
+      let uniform lo hi = Mapqn_prng.Dist.uniform rng ~lo ~hi in
+      List.for_all
+        (fun config ->
+          let ms, model = Constraints.build config net in
+          let point = Marginal_space.aggregate_exact ms sol in
+          let n = Array.length point and m = Lp.num_rows model in
+          let upper = Array.init n (Marginal_space.upper_bound ms) in
+          let c = Array.init n (fun _ -> uniform (-1.) 1.) in
+          let objective = List.init n (fun j -> (Lp.var_of_int model j, c.(j))) in
+          let value = Mapqn_util.Ksum.dot c point in
+          let magnitude =
+            Mapqn_util.Ksum.sum (Array.mapi (fun j cj -> Float.abs (cj *. point.(j))) c)
+          in
+          let residual =
+            Array.init m (fun r ->
+                Float.abs
+                  (Lp.eval_row (Lp.row_terms model r) point -. Lp.row_rhs model r))
+          in
+          let valid direction duals =
+            let safe = Certificate.safe_bound ~upper model direction ~objective ~duals in
+            let slack =
+              Mapqn_util.Ksum.sum
+                (Array.mapi (fun r y -> Float.abs y *. residual.(r)) duals)
+              +. (1e-12 *. magnitude)
+            in
+            match direction with
+            | Simplex.Minimize -> safe <= value +. slack
+            | Simplex.Maximize -> safe >= value -. slack
+          in
+          let random () =
+            Array.init m (fun _ ->
+                let s = if uniform 0. 1. < 0.5 then -1. else 1. in
+                s *. (10. ** uniform (-3.) 3.))
+          in
+          List.for_all
+            (fun direction ->
+              let duals =
+                match Mapqn_lp.Revised.solve model direction objective with
+                | Simplex.Optimal s -> s.Simplex.duals
+                | _ -> Array.make m 0.
+              in
+              let perturbed =
+                Array.map (fun y -> y *. (1. +. uniform (-1e-3) 1e-3)) duals
+              in
+              List.for_all (valid direction) [ random (); duals; perturbed ])
+            [ Simplex.Minimize; Simplex.Maximize ])
+        [ Constraints.standard; Constraints.full ])
 
 let prop_bounds_bracket_random =
   QCheck.Test.make ~name:"bounds bracket exact on random networks" ~count:15
@@ -779,6 +860,7 @@ let () =
           Alcotest.test_case "cut balance residual" `Quick test_cut_balance_residual_zero;
           Alcotest.test_case "aggregate normalized" `Quick test_aggregate_normalized;
           QCheck_alcotest.to_alcotest prop_exact_point_always_feasible;
+          QCheck_alcotest.to_alcotest prop_safe_bound_any_multipliers;
         ] );
       ( "bounds",
         [

@@ -28,16 +28,19 @@ open Corpus_fixture
 
 (* ---------------- every corpus model certifies ---------------- *)
 
-let test_corpus_certifies () =
-  (* An optional ledger sink lets CI run `mapqn doctor` over exactly
-     this suite's solver records (the corpus CI job sets the variable;
-     local runs skip it). *)
-  (match Sys.getenv_opt "MAPQN_CORPUS_LEDGER" with
+(* An optional ledger sink lets CI run `mapqn doctor` over exactly
+   this suite's solver records (the corpus CI job sets the variable;
+   local runs skip it). *)
+let open_corpus_ledger () =
+  match Sys.getenv_opt "MAPQN_CORPUS_LEDGER" with
   | Some path when not (Ledger.is_enabled ()) ->
     Ledger.enable_exn
       ~context:[ ("experiment", Json.String "corpus") ]
       ~path ()
-  | _ -> ());
+  | _ -> ()
+
+let test_corpus_certifies () =
+  open_corpus_ledger ();
   let causes = Hashtbl.create 8 in
   List.iter
     (fun (e, model) ->
@@ -331,9 +334,10 @@ let close ~tol a b = Float.abs (a -. b) <= tol *. Float.max 1. (Float.abs a)
 
 let revised_matches_dense params =
   let net = degenerate_network params in
-  (* [create_exn] + metric queries raise [Bounds.Solver_error] if the
-     certificate (post-rescue) fails — either solver failing to certify
-     fails the property. *)
+  (* Every endpoint is valid, an exhausted rescue ladder included, so
+     agreement to 1e-8 is what shows both solvers reached the LP
+     optimum: a loose safe bound accepted on its gap alone would miss
+     it. *)
   let bd = Bounds.create_exn ~solver:Bounds.Dense net in
   let br = Bounds.create_exn ~solver:Bounds.Revised net in
   let check name { Bounds.lower = l1; upper = u1 }
@@ -362,7 +366,13 @@ let prop_degenerate_revised_matches_dense =
    certificate (dual violation 7.0e-2) with no rescue rung for a dense
    backend, and (16609, 2, 6) certified a point with primal residual
    8.5e-8 that missed the revised bound by 1.1e-7 (relative) before
-   the dense solution was refined. *)
+   the dense solution was refined. On (80163, 3, 7) the revised
+   solver's first throughput minimum sits on a dual-feasible,
+   primal-infeasible basis: its safe bound 0.800211 lies 6.1e-9 from
+   its objective, yet the LP minimum is 0.808873, where dense and the
+   rescued revised solve agree. Only the primal residual sends it up
+   the ladder; accepting on the gap alone would report a bound 1%
+   loose. *)
 let pinned =
   List.map
     (fun ((seed, population, tie_exp) as params) ->
@@ -378,7 +388,31 @@ let pinned =
       (16609, 2, 6);
       (22331, 2, 7);
       (89355, 2, 7);
+      (80163, 3, 7);
     ]
+
+(* Model 2 of [generate_many ~seed:2008] at N=100, cold, [standard]: the
+   rescue ladder is exhausted (the dense rung is ruled out by size), so
+   the interval is the tightest safe bound seen at the failing end. It
+   must still contain the exact response time, 307.9329628061 —
+   [Solution.system_response_time (Solution.solve net)] for this
+   network, about 3 s by Gauss–Seidel. Its eval is uncertified by
+   design, which `mapqn doctor` rightly fails, so the corpus ledger is
+   held closed while it runs. *)
+let test_exhausted_ladder_brackets () =
+  let model = List.nth (Random_models.generate_many ~seed:2008 3) 2 in
+  let net = Network.with_population model.Random_models.network 100 in
+  let exact = 307.9329628061 in
+  Ledger.disable ();
+  let r =
+    Fun.protect ~finally:open_corpus_ledger (fun () ->
+        Bounds.response_time (Bounds.create_exn net))
+  in
+  Alcotest.(check bool) "the ladder was exhausted" true
+    ((Health.current ()).Health.rescue = Some Health.Uncertified);
+  if not (Bounds.contains r exact) then
+    Alcotest.failf "exact R=%.10g outside [%.10g, %.10g]" exact r.Bounds.lower
+      r.Bounds.upper
 
 let () =
   Alcotest.run "corpus"
@@ -393,6 +427,8 @@ let () =
             test_corpus_ctmc_containment;
           Alcotest.test_case "a seed that falls back keeps its work" `Slow
             test_fallback_work;
+          Alcotest.test_case "an exhausted ladder still brackets (N=100)"
+            `Slow test_exhausted_ladder_brackets;
         ] );
       ( "near-degenerate",
         QCheck_alcotest.to_alcotest prop_degenerate_revised_matches_dense

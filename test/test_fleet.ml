@@ -315,27 +315,40 @@ let test_run_tasks_resume_checkpoint () =
   Alcotest.(check (list string)) "resume neither duplicates nor loses"
     done1 done2
 
-(* A model accepted without a certificate (rescue ladder exhausted under
-   --accept-uncertified) checkpoints as done but stamped
-   "certified": false; a resume that insists on certificates re-runs it,
-   a plain resume does not. *)
-let test_run_tasks_resume_uncertified () =
+(* A heartbeat file may hold ids that name no model of this run: the
+   four-digit "model-NNNN" ids mapqn table1 once wrote, or a larger
+   run's. A resume counts only the ids it will skip. *)
+let test_resume_counts_this_runs_ids () =
   let hb = Filename.temp_file "mapqn_fleet_hb" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove hb) @@ fun () ->
-  let ids = Printf.sprintf "job-%02d" in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 hb in
-  (Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-   let p = Mapqn_obs.Progress.create ~quiet:true ~heartbeat:oc ~total:4 "test" in
-   ignore
-     (Fleet.run_tasks ~jobs:2 ~progress:p ~certified:(fun i -> i <> 2)
-        ~skip:(fun _ -> false) ~seed:7 ~ids ~total:4 ~f:(fun i -> i) ()));
-  Alcotest.(check (list string)) "plain resume keeps uncertified dones"
-    [ "job-00"; "job-01"; "job-02"; "job-03" ]
-    (List.sort compare (Mapqn_obs.Progress.load_completed hb));
-  Alcotest.(check (list string)) "certified resume re-runs job-02"
-    [ "job-00"; "job-01"; "job-03" ]
-    (List.sort compare
-       (Mapqn_obs.Progress.load_completed ~require_certified:true hb))
+  let oc = open_out hb in
+  List.iter
+    (fun (event, id) ->
+      Printf.fprintf oc "{\"event\":\"%s\",\"model\":\"%s\"}\n" event id)
+    [
+      ("done", "model-0000");
+      ("done", "model-00001");
+      ("skip", "model-0002");
+      ("skip", "model-00002");
+      ("done", "model-00007");
+    ];
+  close_out oc;
+  let options =
+    {
+      Fleet_sweep.table1_bench with
+      Fleet_sweep.models = 3;
+      populations = [ 1 ];
+      exact_upto = 0;
+    }
+  in
+  let done_ = Fleet_sweep.completed options hb in
+  Alcotest.(check (list string)) "only this run's ids"
+    [ "model-00001"; "model-00002" ]
+    done_;
+  let t = Fleet_sweep.run ~options ~skip:(fun id -> List.mem id done_) () in
+  Alcotest.(check int) "skipped = counted" 2 t.Fleet_sweep.skipped;
+  Alcotest.(check (list int)) "model 0 ran" [ 0 ]
+    (List.map (fun (r : Fleet_sweep.model_row) -> r.index) t.Fleet_sweep.rows)
 
 (* A run killed mid-write leaves a heartbeat file and a rows file that
    each end in a torn line. The next run opens both through
@@ -432,8 +445,8 @@ let () =
             test_run_tasks_outcomes;
           Alcotest.test_case "resume checkpoint round-trip" `Quick
             test_run_tasks_resume_checkpoint;
-          Alcotest.test_case "uncertified dones re-run on certified resume"
-            `Quick test_run_tasks_resume_uncertified;
+          Alcotest.test_case "resume counts only this run's ids" `Quick
+            test_resume_counts_this_runs_ids;
           Alcotest.test_case "heartbeat and row append after a torn tail"
             `Quick test_append_after_torn_tail;
         ] );

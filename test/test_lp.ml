@@ -500,37 +500,66 @@ let prop_revised_solution_feasible =
       | Simplex.Infeasible -> false
       | Simplex.Unbounded | Simplex.Iteration_limit -> true)
 
-(* ---------------- optimality certificates ---------------- *)
+(* ---------------- certificates ---------------- *)
 
-let test_certificate_textbook () =
-  (* At the exact optimum of a well-conditioned LP, every certificate
-     component should be at machine-precision scale. *)
+(* The textbook LP of test_max_2d; its rows imply x <= 4 and y <= 6, the
+   box every safe bound of it is taken over. *)
+let textbook () =
   let m = Lp_model.create () in
   let x = Lp_model.add_var m and y = Lp_model.add_var m in
   Lp_model.add_row m [ (x, 1.) ] Lp_model.Le 4.;
   Lp_model.add_row m [ (y, 2.) ] Lp_model.Le 12.;
   Lp_model.add_row m [ (x, 3.); (y, 2.) ] Lp_model.Le 18.;
-  let obj = [ (x, 3.); (y, 5.) ] in
+  (m, [ (x, 3.); (y, 5.) ], [| 4.; 6. |])
+
+(* Redundant equalities leave zero-level artificials in the phase-1
+   basis (the exact shape that used to silently relax rows); the rows
+   imply x, y <= 2. *)
+let redundant () =
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m and y = Lp_model.add_var m in
+  Lp_model.add_row m [ (x, 1.); (y, 1.) ] Lp_model.Eq 2.;
+  Lp_model.add_row m [ (x, 1.); (y, 1.) ] Lp_model.Eq 2.;
+  Lp_model.add_row m [ (x, 2.); (y, 2.) ] Lp_model.Eq 4.;
+  Lp_model.add_row m [ (x, 1.) ] Lp_model.Ge 0.5;
+  (m, [ (x, 1.) ], [| 2.; 2. |])
+
+(* A random feasible LP boxed by rows x <= 10, which the safe bound needs
+   as its finite upper bounds. *)
+let boxed_random params =
+  let m, vars, _, c = build_random_lp params in
+  Array.iter (fun v -> Lp_model.add_row m [ (v, 1.) ] Lp_model.Le 10.) vars;
+  ( m,
+    Array.to_list (Array.mapi (fun i v -> (v, c.(i))) vars),
+    Array.make (Array.length vars) 10. )
+
+let test_certificate_textbook () =
+  (* At the exact optimum of a well-conditioned LP the primal residual
+     is at machine-precision scale and the safe bound meets the
+     objective. *)
+  let m, obj, upper = textbook () in
   let s = solution (Simplex.solve m Simplex.Maximize obj) in
-  let cert = Certificate.compute m Simplex.Maximize ~objective:obj s in
+  let cert = Certificate.compute ~upper m Simplex.Maximize ~objective:obj s in
   Alcotest.(check bool)
     "primal residual tiny" true
     (cert.Certificate.primal_residual <= 1e-9);
   Alcotest.(check bool)
-    "dual violation tiny" true
-    (cert.Certificate.dual_violation <= 1e-9);
+    "safe bound above the optimum 36" true
+    (cert.Certificate.safe_bound >= 36.);
   Alcotest.(check bool)
-    "comp slack tiny" true
-    (cert.Certificate.comp_slack <= 1e-9);
-  match Certificate.check m Simplex.Maximize ~objective:obj s with
+    "gap tiny" true
+    (Float.abs cert.Certificate.gap <= 1e-6);
+  match Certificate.check ~upper m Simplex.Maximize ~objective:obj s with
   | Ok _ -> ()
-  | Error f -> Alcotest.fail (Certificate.failure_to_string f)
+  | Error c ->
+    Alcotest.failf "textbook optimum rejected (primal %.3e, gap %.3e)"
+      c.Certificate.primal_residual c.Certificate.gap
 
 let test_certificate_rejects_corrupt () =
   let m = Lp_model.create () in
   let x = Lp_model.add_var m and y = Lp_model.add_var m in
   Lp_model.add_row m [ (x, 1.); (y, 1.) ] Lp_model.Eq 2.;
-  let obj = [ (x, 1.) ] in
+  let obj = [ (x, 1.) ] and upper = [| 2.; 2. |] in
   let s = solution (Simplex.solve m Simplex.Maximize obj) in
   (* Shift the reported point (and its witness) off the constraint: the
      primal residual must catch it. *)
@@ -538,55 +567,119 @@ let test_certificate_rejects_corrupt () =
   let bad =
     { s with Simplex.values = bad_point; Simplex.witness = bad_point }
   in
-  (match Certificate.check m Simplex.Maximize ~objective:obj bad with
+  (match Certificate.check ~upper m Simplex.Maximize ~objective:obj bad with
   | Ok _ -> Alcotest.fail "corrupt point passed the certificate"
-  | Error f ->
-    Alcotest.(check string) "quantity" "primal_residual" f.Certificate.quantity);
-  (* Corrupt the duals: complementary slackness (or dual feasibility)
-     must catch it even though the point itself is optimal. *)
+  | Error c ->
+    Alcotest.(check bool)
+      "primal residual fails" true
+      (c.Certificate.primal_residual > Certificate.default_tol_primal));
+  (* Corrupt the duals: the point is optimal, but the safe bound of the
+     wrong duals (still valid: 4 >= 2) lies far from the objective, and
+     the gap must catch it. *)
   let bad_duals = Array.map (fun d -> d +. 1.) s.Simplex.duals in
   let bad = { s with Simplex.duals = bad_duals } in
-  match Certificate.check m Simplex.Maximize ~objective:obj bad with
+  match Certificate.check ~upper m Simplex.Maximize ~objective:obj bad with
   | Ok _ -> Alcotest.fail "corrupt duals passed the certificate"
-  | Error _ -> ()
+  | Error c ->
+    Alcotest.(check bool) "gap fails" true (c.Certificate.gap > 1.);
+    Alcotest.(check bool)
+      "the wrong duals' bound is still valid" true
+      (c.Certificate.safe_bound >= 2.)
 
-let certify_both_backends name m direction obj =
-  let s_dense = solution (Simplex.solve m direction obj) in
-  (match Certificate.check m direction ~objective:obj s_dense with
-  | Ok _ -> ()
-  | Error f ->
-    Alcotest.fail (name ^ " (dense): " ^ Certificate.failure_to_string f));
-  let s_rev = solution (Revised.solve m direction obj) in
-  match Certificate.check m direction ~objective:obj s_rev with
-  | Ok _ -> ()
-  | Error f ->
-    Alcotest.fail (name ^ " (revised): " ^ Certificate.failure_to_string f)
+let certify_both_backends name (m, obj, upper) direction =
+  List.iter
+    (fun (backend, outcome) ->
+      match Certificate.check ~upper m direction ~objective:obj (solution outcome) with
+      | Ok _ -> ()
+      | Error c ->
+        Alcotest.failf "%s (%s): primal %.3e, gap %.3e" name backend
+          c.Certificate.primal_residual c.Certificate.gap)
+    [
+      ("dense", Simplex.solve m direction obj);
+      ("revised", Revised.solve m direction obj);
+    ]
 
 let test_certificate_degenerate_redundant () =
-  (* Redundant equalities leave zero-level artificials in the phase-1
-     basis; after drive-out the certificate must still hold on both
-     backends (this is the exact shape that used to silently relax
-     rows). *)
-  let m = Lp_model.create () in
-  let x = Lp_model.add_var m and y = Lp_model.add_var m in
-  Lp_model.add_row m [ (x, 1.); (y, 1.) ] Lp_model.Eq 2.;
-  Lp_model.add_row m [ (x, 1.); (y, 1.) ] Lp_model.Eq 2.;
-  Lp_model.add_row m [ (x, 2.); (y, 2.) ] Lp_model.Eq 4.;
-  Lp_model.add_row m [ (x, 1.) ] Lp_model.Ge 0.5;
-  certify_both_backends "redundant" m Simplex.Maximize [ (x, 1.) ]
+  certify_both_backends "redundant" (redundant ()) Simplex.Maximize
 
 let prop_certificate_random =
   QCheck.Test.make ~name:"random optima carry passing certificates" ~count:100
     (QCheck.make gen_feasible_lp) (fun params ->
-      let m, vars, _, c = build_random_lp params in
-      let obj = Array.to_list (Array.mapi (fun i v -> (v, c.(i))) vars) in
+      let m, obj, upper = boxed_random params in
       match Simplex.solve m Simplex.Maximize obj with
       | Simplex.Optimal s -> (
-        match Certificate.check m Simplex.Maximize ~objective:obj s with
+        match Certificate.check ~upper m Simplex.Maximize ~objective:obj s with
         | Ok _ -> true
         | Error _ -> false)
       | Simplex.Infeasible -> false
       | Simplex.Unbounded | Simplex.Iteration_limit -> true)
+
+(* Validity needs no agreement between the backends: each one's safe
+   bound, from its own duals, must lie on the valid side of the other's
+   optimum, in both directions. *)
+let safe_bounds_cross (m, obj, upper) =
+  let optimum solve direction = solution (solve m direction obj) in
+  let backends =
+    [
+      ("dense", fun m d o -> Simplex.solve m d o);
+      ("revised", fun m d o -> Revised.solve m d o);
+    ]
+  in
+  List.for_all
+    (fun direction ->
+      List.for_all
+        (fun (mine, solve_mine) ->
+          List.for_all
+            (fun (other, solve_other) ->
+              let safe =
+                Certificate.safe_bound ~upper m direction ~objective:obj
+                  ~duals:(optimum solve_mine direction).Simplex.duals
+              in
+              let v = (optimum solve_other direction).Simplex.objective in
+              let slack = 1e-9 *. Float.max 1. (Float.abs v) in
+              let valid =
+                match direction with
+                | Simplex.Minimize -> safe <= v +. slack
+                | Simplex.Maximize -> safe >= v -. slack
+              in
+              if not valid then
+                QCheck.Test.fail_reportf
+                  "%s's safe bound %.12g is on the wrong side of %s's \
+                   optimum %.12g"
+                  mine safe other v;
+              valid)
+            backends)
+        backends)
+    [ Simplex.Minimize; Simplex.Maximize ]
+
+(* Multipliers of the wrong sign for their row's sense, or not finite,
+   are set to 0 before the bound is formed. Kept, the wrong-signed ones
+   below would "prove" min x >= 5 and max x <= 1 over 1 <= x <= 5. *)
+let test_safe_bound_projects_multipliers () =
+  let m = Lp_model.create () in
+  let x = Lp_model.add_var m in
+  Lp_model.add_row m [ (x, 1.) ] Lp_model.Ge 1.;
+  Lp_model.add_row m [ (x, 1.) ] Lp_model.Le 5.;
+  let safe direction duals =
+    Certificate.safe_bound ~upper:[| 10. |] m direction ~objective:[ (x, 1.) ]
+      ~duals
+  in
+  check_obj "min, wrong-signed <= row" 0. (safe Simplex.Minimize [| 0.; 1. |]);
+  check_obj "min, non-finite" 0.
+    (safe Simplex.Minimize [| Float.nan; Float.infinity |]);
+  check_obj "max, wrong-signed >= row" 10. (safe Simplex.Maximize [| 1.; 0. |]);
+  check_obj "min, optimal duals" 1. (safe Simplex.Minimize [| 1.; 0. |]);
+  check_obj "max, optimal duals" 5. (safe Simplex.Maximize [| 0.; 1. |])
+
+let test_safe_bound_cross_fixed () =
+  Alcotest.(check bool) "textbook" true (safe_bounds_cross (textbook ()));
+  Alcotest.(check bool) "redundant" true (safe_bounds_cross (redundant ()))
+
+let prop_safe_bound_cross =
+  QCheck.Test.make
+    ~name:"each backend's safe bound is valid for the other's optimum"
+    ~count:100 (QCheck.make gen_feasible_lp) (fun params ->
+      safe_bounds_cross (boxed_random params))
 
 let () =
   Alcotest.run "lp"
@@ -638,5 +731,10 @@ let () =
           Alcotest.test_case "degenerate redundant rows" `Quick
             test_certificate_degenerate_redundant;
           QCheck_alcotest.to_alcotest prop_certificate_random;
+          Alcotest.test_case "safe bound projects multipliers" `Quick
+            test_safe_bound_projects_multipliers;
+          Alcotest.test_case "safe bounds valid across backends" `Quick
+            test_safe_bound_cross_fixed;
+          QCheck_alcotest.to_alcotest prop_safe_bound_cross;
         ] );
     ]

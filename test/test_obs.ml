@@ -430,8 +430,7 @@ let sample_trace () =
        {
          label = "min";
          primal_residual = 1e-12;
-         dual_violation = 0.;
-         comp_slack = 1e-10;
+         gap = 1e-3;
          accepted = true;
        });
   t
@@ -1007,22 +1006,24 @@ let test_ledger_diff () =
      let rec go i = i + m <= n && (String.sub rendered i m = sub || go (i + 1)) in
      go 0)
 
-let certificate_fields ?(failures = 0.) primal =
+let certificate_fields ?(failures = 0.) ?(gap = 1e-3) primal =
   [
     ("primal_residual", Json.Number primal);
-    ("dual_violation", Json.Number 0.);
-    ("comp_slack", Json.Number 0.);
+    ("gap", Json.Number gap);
     ("failures", Json.Number failures);
     ("tol_primal", Json.Number 1e-5);
-    ("tol_dual", Json.Number 1e-6);
-    ("tol_comp", Json.Number 1e-6);
   ]
+
+let rescue_fields cause depth =
+  [ ("rescue", Json.String cause); ("rescue_depth", Json.Number depth) ]
 
 let test_ledger_doctor_fig8_story () =
   (* The historical pre-drift-trigger Fig-8 run in miniature: the primal
-     residual compounds with population until the largest one fails at
-     3e-05 against the 1e-5 tolerance. Doctor must tell that story. *)
-  let run =
+     residual compounds with population towards the largest one. A
+     failed check there climbs the rescue ladder, so the story has two
+     endings: the residual peaks at the largest population just inside
+     tolerance (the signature), or the ladder is exhausted there. *)
+  let run ?health last =
     [
       eval_record ~population:20
         ~certificate:(certificate_fields 1e-9)
@@ -1030,28 +1031,52 @@ let test_ledger_doctor_fig8_story () =
       eval_record ~population:40
         ~certificate:(certificate_fields 2.8e-6)
         ~lower:1. ~upper:2. ~pivots:20. ~duration:0.2 ();
-      eval_record ~population:100
-        ~certificate:(certificate_fields ~failures:1. 3e-5)
-        ~lower:1. ~upper:2. ~pivots:30. ~duration:0.3 ();
+      eval_record ~population:100 ~certificate:last ?health ~lower:1. ~upper:2.
+        ~pivots:30. ~duration:0.3 ();
     ]
   in
-  let findings = Ledger.doctor run in
-  let with_code c = List.filter (fun f -> f.Ledger.code = c) findings in
-  (match with_code "cert-failure" with
+  let with_code c findings = List.filter (fun f -> f.Ledger.code = c) findings in
+  let near_peak = Ledger.doctor (run (certificate_fields 8e-6)) in
+  (match with_code "cert-near-miss" near_peak with
+  | [ f40; f100 ] ->
+    Alcotest.(check bool) "near-misses are Warn" true
+      (f40.Ledger.severity = Ledger.Warn && f100.Ledger.severity = Ledger.Warn)
+  | fs -> Alcotest.failf "expected two cert-near-misses, got %d" (List.length fs));
+  (match with_code "residual-peak-at-max-population" near_peak with
   | [ f ] ->
-    Alcotest.(check bool) "failure is Fail" true (f.Ledger.severity = Ledger.Fail);
-    Alcotest.(check bool) "failure names N=100" true
-      (f.Ledger.where = "eval N=100 (record 2)")
-  | fs -> Alcotest.failf "expected one cert-failure, got %d" (List.length fs));
-  (match with_code "cert-near-miss" with
-  | [ f ] ->
-    Alcotest.(check bool) "near-miss is Warn" true (f.Ledger.severity = Ledger.Warn)
-  | fs -> Alcotest.failf "expected one cert-near-miss, got %d" (List.length fs));
-  (match with_code "residual-peak-at-max-population" with
-  | [ f ] ->
-    Alcotest.(check bool) "the fig8 signature fails the run" true
-      (f.Ledger.severity = Ledger.Fail)
+    Alcotest.(check bool) "the fig8 signature warns" true
+      (f.Ledger.severity = Ledger.Warn)
   | fs -> Alcotest.failf "expected the fig8 signature, got %d" (List.length fs));
+  let exhausted =
+    Ledger.doctor
+      (run
+         ~health:(rescue_fields "uncertified" 5.)
+         (certificate_fields ~failures:1. 3e-5))
+  in
+  (match with_code "cert-uncertified" exhausted with
+  | [ f ] ->
+    Alcotest.(check bool) "exhausted ladder is Fail" true
+      (f.Ledger.severity = Ledger.Fail);
+    Alcotest.(check bool) "it names N=100" true
+      (f.Ledger.where = "eval N=100 (record 2)")
+  | fs -> Alcotest.failf "expected one cert-uncertified, got %d" (List.length fs));
+  (* A gap beyond the margin is a failed check like a residual beyond
+     tolerance; rescued, it warns and names the gap. *)
+  (match
+     Ledger.doctor
+       [
+         eval_record ~population:8
+           ~certificate:(certificate_fields ~failures:1. ~gap:40. 1e-9)
+           ~health:(rescue_fields "reperturbed" 2.)
+           ~lower:1. ~upper:2. ~pivots:10. ~duration:0.1 ();
+       ]
+   with
+  | [ f ] ->
+    Alcotest.(check string) "rescued gap" "cert-rescued" f.Ledger.code;
+    Alcotest.(check bool) "names the gap" true
+      (String.starts_with ~prefix:"certificate initially failed (gap ="
+         f.Ledger.detail)
+  | fs -> Alcotest.failf "expected one cert-rescued, got %d" (List.length fs));
   (* Same residuals with the peak mid-sweep: no max-population signature. *)
   let healthy =
     [
