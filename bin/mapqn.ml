@@ -318,22 +318,10 @@ let bounds_cmd =
       Mapqn_util.Table.print ~header:[ "metric"; "lower"; "upper" ] rows;
       if sensitivity then begin
         print_endline "binding constraints of the response-time upper bound (X min):";
-        let ms = Mapqn_core.Bounds.space b in
-        let terms = ref [] in
-        let r0 =
-          Mapqn_map.Process.completion_rates
-            (Mapqn_model.Station.service_process (Mapqn_model.Network.station net 0))
-        in
-        for n = 1 to Mapqn_model.Network.population net do
-          Mapqn_core.Marginal_space.iter_phases ms (fun h ->
-              terms :=
-                ( Mapqn_core.Marginal_space.v ms ~station:0 ~level:n ~phase:h,
-                  r0.(Mapqn_core.Marginal_space.phase_component ms h 0) )
-                :: !terms)
-        done;
         List.iter
           (fun (name, dual) -> Printf.printf "  %-28s %+.6f\n" name dual)
-          (Mapqn_core.Bounds.sensitivity b Mapqn_lp.Simplex.Minimize !terms)
+          (Mapqn_core.Bounds.sensitivity b Mapqn_lp.Simplex.Minimize
+             (Mapqn_core.Bounds.Throughput 0))
       end
   in
   let term =
@@ -1130,20 +1118,10 @@ let doctor_cmd =
     let doc = "Ledger file to diagnose." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"LEDGER" ~doc)
   in
-  let tol_primal_arg =
-    let doc =
-      "Primal-residual tolerance used to judge certificate records that \
-       carry none."
-    in
-    Arg.(
-      value
-      & opt float Mapqn_lp.Certificate.default_tol_primal
-      & info [ "tol-primal" ] ~docv:"TOL" ~doc)
-  in
-  let run verbose file tol_primal =
+  let run verbose file =
     setup_logs verbose;
     let records = load_ledger file in
-    let findings = Mapqn_obs.Ledger.doctor ~tol_primal records in
+    let findings = Mapqn_obs.Ledger.doctor records in
     Printf.printf "doctor: %d record(s) in %s\n" (List.length records) file;
     print_string (Mapqn_obs.Ledger.render_findings findings);
     if List.exists (fun f -> f.Mapqn_obs.Ledger.severity = Mapqn_obs.Ledger.Fail)
@@ -1158,7 +1136,7 @@ let doctor_cmd =
           reinversions, degeneracy stalls, and the \
           residual-peak-at-the-largest-population signature; exits non-zero \
           when any finding is a failure")
-    Term.(const run $ verbose_arg $ file_arg $ tol_primal_arg)
+    Term.(const run $ verbose_arg $ file_arg)
 
 let () =
   let doc = "MAP queueing networks: exact solution, LP bounds, baselines, simulation" in

@@ -79,8 +79,6 @@ type t = {
   mutable backend : backend;
       (* the rescue ladder swaps in the re-prepared state that produced
          the accepted result, so later objectives benefit from it *)
-  config : Constraints.config;
-  max_iter : int option;
   mutable retired : Revised.stats;
       (* Work of the revised states this handle no longer holds: those
          the rescue ladder swapped out and, for a sweep step, every
@@ -186,7 +184,7 @@ let dense_rescue_cells = 2_000_000
    [failing] one ([None] for a failed prepare); [Error lost] when the rung
    does not apply or its own prepare fails, [lost] being the revised work
    that failure dropped. *)
-let reprepare ?max_iter model failing rung =
+let reprepare model failing rung =
   let dense = function
     | Ok p -> Ok (B_dense p)
     | Error _ -> Error no_work
@@ -194,30 +192,28 @@ let reprepare ?max_iter model failing rung =
   match (rung, failing) with
   | Reprepare { serves_dense = false; _ }, Some (B_dense _) -> Error no_work
   | Reprepare { salt; _ }, Some (B_dense _) ->
-    dense (Simplex.prepare ?max_iter ~salt model)
+    dense (Simplex.prepare ~salt model)
   | Reprepare { scale; salt; _ }, (None | Some (B_revised _)) -> (
     let current =
       match failing with Some (B_revised r) -> Revised.pert_scale r | _ -> 1.
     in
-    match
-      Revised.prepare ?max_iter ~pert_scale:(current *. scale) ~salt model
-    with
+    match Revised.prepare ~pert_scale:(current *. scale) ~salt model with
     | Ok p -> Ok (B_revised p)
     | Error (_, lost) -> Error lost)
   | Dense_tableau, _ ->
     if Lp.num_vars model * Lp.num_rows model > dense_rescue_cells then
       Error no_work
-    else dense (Simplex.prepare ?max_iter model)
+    else dense (Simplex.prepare model)
 
 (* A failed prepare's rescue: the first rung that prepares, with the work
    of the failed prepare and of every rung that failed before it. *)
-let rescue_prepare ?max_iter model (err, lost) =
+let rescue_prepare model (err, lost) =
   Mapqn_obs.Metrics.inc m_rescues;
   Mapqn_obs.Span.with_ "bounds.rescue" @@ fun () ->
   let rec climb lost = function
     | [] -> Error err
     | (cause, rung) :: rest -> (
-      match reprepare ?max_iter model None rung with
+      match reprepare model None rung with
       | Ok backend ->
         Health.observe_rescue cause;
         Ok (backend, lost)
@@ -235,27 +231,26 @@ let rescue_prepare ?max_iter model (err, lost) =
    stays unrescued). Also returns whether the seed took. The handle
    retires [retired] plus the work of every prepare that failed on the
    way. *)
-let prepare ~solver ~config ?max_iter ?seeds ~retired network ms model =
+let prepare ~solver ?seeds ~retired network ms model =
   Mapqn_obs.Span.with_ "bounds.prepare" @@ fun () ->
   let prepared =
     match solver with
     | Dense ->
       Result.map
         (fun p -> (B_dense p, false, no_work))
-        (Simplex.prepare ?max_iter model)
+        (Simplex.prepare model)
     | Revised -> (
       let first =
         match seeds with
-        | Some seeds -> Revised.prepare_seeded ?max_iter ~seeds model
-        | None ->
-          Result.map (fun p -> (p, false)) (Revised.prepare ?max_iter model)
+        | Some seeds -> Revised.prepare_seeded ~seeds model
+        | None -> Result.map (fun p -> (p, false)) (Revised.prepare model)
       in
       match first with
       | Ok (p, seeded) -> Ok (B_revised p, seeded, no_work)
       | Error e ->
         Result.map
           (fun (b, lost) -> (b, false, lost))
-          (rescue_prepare ?max_iter model e))
+          (rescue_prepare model e))
   in
   match prepared with
   | Ok (backend, seeded, lost) ->
@@ -266,33 +261,27 @@ let prepare ~solver ~config ?max_iter ?seeds ~retired network ms model =
           model;
           upper = Array.init (Ms.num_vars ms) (Ms.upper_bound ms);
           backend;
-          config;
-          max_iter;
           retired = add_work retired lost;
         },
         seeded )
   | Error Simplex.Infeasible_phase1 -> Error Infeasible_phase1
   | Error (Simplex.Iteration_limit_phase1 k) -> Error (Iteration_limit k)
 
-let create ?(solver = default_solver) ?(config = Constraints.standard) ?max_iter
-    network =
+let create ?(solver = default_solver) ?(config = Constraints.standard) network =
   Mapqn_obs.Span.with_ "bounds.create" @@ fun () ->
   if Mapqn_model.Network.has_delay network then
     Error (Unsupported_network "a delay (infinite-server) station")
   else
     let ms, model = Constraints.build config network in
     Result.map fst
-      (prepare ~solver ~config ?max_iter ~retired:no_work network ms model)
+      (prepare ~solver ~retired:no_work network ms model)
 
-let create_exn ?solver ?config ?max_iter network =
-  match create ?solver ?config ?max_iter network with
+let create_exn ?solver ?config network =
+  match create ?solver ?config network with
   | Ok t -> t
   | Error e -> raise (Solver_error e)
 
-let network t = t.network
 let space t = t.ms
-let config t = t.config
-let solver t = match t.backend with B_dense _ -> Dense | B_revised _ -> Revised
 let lp_size t = (Lp.num_vars t.model, Lp.num_rows t.model)
 
 (* ------------------------------------------------------------------ *)
@@ -361,10 +350,10 @@ let ledger_fields t ~duration ~(before : Revised.stats) =
     ("health", Health.to_json h);
   ]
 
-let backend_optimize t backend direction objective =
+let backend_optimize backend direction objective =
   match backend with
-  | B_dense p -> Simplex.optimize ?max_iter:t.max_iter p direction objective
-  | B_revised p -> Revised.optimize ?max_iter:t.max_iter p direction objective
+  | B_dense p -> Simplex.optimize p direction objective
+  | B_revised p -> Revised.optimize p direction objective
 
 (* Optimality certificates for every solved objective. The direction
    label keeps the two endpoints of each interval distinguishable in
@@ -373,13 +362,6 @@ let m_certificates =
   Mapqn_obs.Metrics.counter
     ~help:"LP optimality certificates computed (one per solved objective)."
     "bounds_certificates_total"
-
-let m_certificate_failures =
-  Mapqn_obs.Metrics.counter
-    ~help:
-      "Objectives whose rescue ladder was exhausted: the endpoint is the \
-       tightest safe bound seen."
-    "bounds_certificate_failures_total"
 
 let m_cert_primal =
   Mapqn_obs.Metrics.gauge
@@ -435,19 +417,18 @@ let rescue t direction objective (first : Certificate.t) =
   in
   let rec climb best = function
     | [] ->
-      Mapqn_obs.Metrics.inc m_certificate_failures;
       Health.observe_rescue Health.Uncertified;
       best
     | (cause, rung) :: rest -> (
-      match reprepare ?max_iter:t.max_iter t.model (Some t.backend) rung with
+      match reprepare t.model (Some t.backend) rung with
       | Error lost ->
         t.retired <- add_work t.retired lost;
         climb best rest
       | Ok backend -> (
         let verdict =
-          match backend_optimize t backend direction objective with
+          match backend_optimize backend direction objective with
           | Simplex.Optimal s -> Some (s, certify_check t direction objective s)
-          | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit ->
+          | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit _ ->
             None
         in
         match verdict with
@@ -473,7 +454,7 @@ let optimize t direction objective =
   let objective =
     List.map (fun (i, c) -> (Lp.var_of_int t.model i, c)) objective
   in
-  match backend_optimize t t.backend direction objective with
+  match backend_optimize t.backend direction objective with
   | Simplex.Optimal s -> (
     match certify_check t direction objective s with
     | Ok cert -> endpoint direction s cert
@@ -481,29 +462,7 @@ let optimize t direction objective =
   | Simplex.Infeasible -> failwith "Bounds: phase-2 infeasibility (bug)"
   | Simplex.Unbounded ->
     failwith "Bounds: unbounded objective (missing normalization constraint?)"
-  | Simplex.Iteration_limit ->
-    raise
-      (Solver_error
-         (Iteration_limit (Option.value t.max_iter ~default:(-1))))
-
-let sensitivity ?(top = 10) t direction objective =
-  let objective =
-    List.map (fun (i, c) -> (Lp.var_of_int t.model i, c)) objective
-  in
-  match backend_optimize t t.backend direction objective with
-  | Simplex.Optimal s ->
-    let names =
-      Array.of_list (List.map (fun (_, _, _, name) -> name) (Lp.rows t.model))
-    in
-    let pairs = ref [] in
-    Array.iteri
-      (fun i d -> if Float.abs d > 1e-9 then pairs := (names.(i), d) :: !pairs)
-      s.Simplex.duals;
-    let sorted =
-      List.sort (fun (_, a) (_, b) -> compare (Float.abs b) (Float.abs a)) !pairs
-    in
-    List.filteri (fun i _ -> i < top) sorted
-  | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit -> []
+  | Simplex.Iteration_limit k -> raise (Solver_error (Iteration_limit k))
 
 let custom t objective =
   let lower = optimize t Simplex.Minimize objective in
@@ -604,6 +563,36 @@ let metric_terms t = function
     Ms.iter_phases t.ms (fun h ->
         terms := (Ms.v t.ms ~station ~level ~phase:h, 1.) :: !terms);
     !terms
+
+(* The ten rows with the largest |dual| at the optimum of [metric]'s LP
+   objective, uncertified: duals explain a bound, they do not make it. *)
+let sensitivity t direction metric =
+  validate_metric t metric;
+  let terms =
+    match metric with
+    | Response_time _ ->
+      raise
+        (Solver_error
+           (Invalid_objective
+              "response time is derived from throughput and has no LP \
+               objective of its own"))
+    | m -> metric_terms t m
+  in
+  let objective = List.map (fun (i, c) -> (Lp.var_of_int t.model i, c)) terms in
+  match backend_optimize t.backend direction objective with
+  | Simplex.Optimal s ->
+    let names =
+      Array.of_list (List.map (fun (_, _, _, name) -> name) (Lp.rows t.model))
+    in
+    let pairs = ref [] in
+    Array.iteri
+      (fun i d -> if Float.abs d > 1e-9 then pairs := (names.(i), d) :: !pairs)
+      s.Simplex.duals;
+    let sorted =
+      List.sort (fun (_, a) (_, b) -> compare (Float.abs b) (Float.abs a)) !pairs
+    in
+    List.filteri (fun i _ -> i < 10) sorted
+  | Simplex.Infeasible | Simplex.Unbounded | Simplex.Iteration_limit _ -> []
 
 let metric_clamp t = function
   | Throughput _ | Response_time _ -> None
@@ -758,9 +747,7 @@ module Sweep = struct
 
   type nonrec t = {
     network_of : int -> Mapqn_model.Network.t;
-    solver : solver;
     sconfig : Constraints.config;
-    max_iter : int option;
     warm_start : bool;
     mutable inc : Constraints.Incremental.t option;
     mutable prev : bounds option;
@@ -769,13 +756,10 @@ module Sweep = struct
     mutable cold : int;
   }
 
-  let create ?(solver = default_solver) ?(config = Constraints.standard)
-      ?max_iter ?(warm_start = true) network_of =
+  let create ?(config = Constraints.standard) ?(warm_start = true) network_of =
     {
       network_of;
-      solver;
       sconfig = config;
-      max_iter;
       warm_start;
       inc = None;
       prev = None;
@@ -783,10 +767,6 @@ module Sweep = struct
       warm = 0;
       cold = 0;
     }
-
-  let solver s = s.solver
-  let config s = s.sconfig
-  let warm_start s = s.warm_start
 
   (* Work of the whole sweep: each step's handle carries its
      predecessor's total as retired work. *)
@@ -811,9 +791,8 @@ module Sweep = struct
           (ms, model)
       in
       let seeds =
-        match (s.prev, s.solver) with
-        | Some ({ backend = B_revised r; _ } as b_prev), Revised
-          when s.warm_start ->
+        match s.prev with
+        | Some ({ backend = B_revised r; _ } as b_prev) when s.warm_start ->
           Some
             (translate_seeds ~from_ms:b_prev.ms ~from_model:b_prev.model
                ~to_ms:ms ~to_model:model (Revised.basis_seeds r))
@@ -824,8 +803,7 @@ module Sweep = struct
          seeded restoration. *)
       let before = sweep_work s in
       match
-        prepare ~solver:s.solver ~config:s.sconfig ?max_iter:s.max_iter ?seeds
-          ~retired:before network ms model
+        prepare ~solver:Revised ?seeds ~retired:before network ms model
       with
       | Error e -> Error e
       | Ok (b, seeded) ->

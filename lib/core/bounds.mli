@@ -75,11 +75,7 @@ exception Solver_error of error
 type solver = Dense | Revised
 
 val create :
-  ?solver:solver ->
-  ?config:Constraints.config ->
-  ?max_iter:int ->
-  Mapqn_model.Network.t ->
-  (t, error) result
+  ?solver:solver -> ?config:Constraints.config -> Mapqn_model.Network.t -> (t, error) result
 (** Build the LP and run phase 1. Default config is
     {!Constraints.standard}, default solver {!Revised}.
 
@@ -101,19 +97,10 @@ val create :
     error when the ladder is exhausted. *)
 
 val create_exn :
-  ?solver:solver ->
-  ?config:Constraints.config ->
-  ?max_iter:int ->
-  Mapqn_model.Network.t ->
-  t
+  ?solver:solver -> ?config:Constraints.config -> Mapqn_model.Network.t -> t
 (** Like {!create}; raises {!Solver_error}. *)
 
-val network : t -> Mapqn_model.Network.t
 val space : t -> Marginal_space.t
-val config : t -> Constraints.config
-
-val solver : t -> solver
-(** The backend this instance was created with. *)
 
 val lp_size : t -> int * int
 (** [(variables, rows)] of the underlying LP model. *)
@@ -140,7 +127,8 @@ val eval : t -> metric list -> (metric * interval) list
     underlying optimizations warm-start from one another. Results pair
     each requested metric with its interval. Raises {!Solver_error} on an
     invalid metric ({!Invalid_station}, {!Invalid_objective}) or when the
-    simplex hits its iteration limit. *)
+    simplex hits its iteration limit ({!Iteration_limit} carries the
+    cap). *)
 
 (** {2 Single-metric convenience wrappers}
 
@@ -168,16 +156,15 @@ val response_time : ?reference:int -> t -> interval
 (** {1 Advanced queries} *)
 
 val sensitivity :
-  ?top:int ->
-  t ->
-  Mapqn_lp.Simplex.direction ->
-  (int * float) list ->
-  (string * float) list
+  t -> Mapqn_lp.Simplex.direction -> metric -> (string * float) list
 (** The constraints that drive a bound: names and dual values (shadow
-    prices) of the rows with the largest |dual| at the optimum of the
-    given objective/direction (default the top 10). A large |dual| means
-    the bound is sensitive to that balance equation — useful for
-    understanding where tightness comes from (see the ablation bench). *)
+    prices) of the ten rows with the largest |dual| at the optimum of
+    the metric's LP objective in the given direction. A large |dual|
+    means the bound is sensitive to that balance equation — useful for
+    understanding where tightness comes from (see the ablation bench).
+    Raises {!Solver_error} on an invalid metric, and with
+    {!Invalid_objective} on {!Response_time}, which is derived from a
+    throughput and has no LP objective of its own. *)
 
 val custom : t -> (int * float) list -> interval
 (** Bounds on an arbitrary linear function of the marginal-space variables
@@ -190,8 +177,8 @@ val custom : t -> (int * float) list -> interval
     populations. A sweep engine makes that super-linear instead of
     one-cold-solve-per-N: the constraint system is extended from the
     previous population instead of re-derived
-    ({!Constraints.Incremental}), and on the {!Revised} backend phase 1
-    is warm-started from the previous population's final basis —
+    ({!Constraints.Incremental}), and phase 1 (always on the {!Revised}
+    backend) is warm-started from the previous population's final basis —
     structural variables are carried over by role (station, level,
     phase), row slacks by row name, and the new levels are covered by
     their own balance variables — falling back to a cold preparation
@@ -215,34 +202,27 @@ module Sweep : sig
       direction). *)
 
   val create :
-    ?solver:solver ->
     ?config:Constraints.config ->
-    ?max_iter:int ->
     ?warm_start:bool ->
     (int -> Mapqn_model.Network.t) ->
     t
   (** [create network_of]: an engine for the family
-      [network_of population]. The function must return networks that
-      differ only in population (same stations and routing — enforced by
-      the constraint builder). [warm_start] (default [true]) is the
-      opt-out flag: [false] prepares every population cold, which is the
-      reference behaviour warm results are tested against. *)
+      [network_of population] on the {!Revised} backend. The function
+      must return networks that differ only in population (same stations
+      and routing — enforced by the constraint builder). [warm_start]
+      (default [true]) is the opt-out flag: [false] prepares every
+      population cold, which is the reference behaviour warm results are
+      tested against. *)
 
   val step : t -> int -> (bounds, error) result
   (** Prepare the LP for one population, seeded from the previous
-      {!step}'s final basis (on the revised backend, with warm starts
-      enabled). The returned handle answers every query of this module;
+      {!step}'s final basis (with warm starts enabled, unless a rescue
+      left the previous handle on the dense oracle). The returned handle answers every query of this module;
       keep it only as long as needed — the engine retains at most the
       latest one. *)
 
   val step_exn : t -> int -> bounds
   (** Like {!step}; raises {!Solver_error}. *)
-
-  val solver : t -> solver
-  val config : t -> Constraints.config
-
-  val warm_start : t -> bool
-  (** Whether warm starts are enabled (the [create] flag). *)
 
   type stats = {
     steps : int;  (** populations prepared *)

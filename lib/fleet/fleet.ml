@@ -1,12 +1,12 @@
 (* Multicore fleet runner for embarrassingly parallel model sweeps.
 
-   Hand-rolled on OCaml 5 [Domain]s plus a [Mutex]/[Condition] chunk
-   queue — no external dependency. Workers pull index chunks off a
-   shared queue (self-scheduling, so a model whose LP stalls does not
-   leave other workers idle behind a static partition), write results
-   into distinct cells of a preallocated array, and run every task under
-   its own {!Mapqn_obs.Run_ctx} with a seed derived deterministically
-   from (experiment seed, task index) via {!Mapqn_prng.Rng.derive}.
+   Hand-rolled on OCaml 5 [Domain]s plus one [Atomic] index counter — no
+   external dependency. Workers claim the next index off the counter
+   (self-scheduling, so a model whose LP stalls does not leave other
+   workers idle behind a static partition), write results into distinct
+   cells of a preallocated array, and run every task under its own
+   {!Mapqn_obs.Run_ctx} with a seed derived deterministically from
+   (experiment seed, task index) via {!Mapqn_prng.Rng.derive}.
 
    Determinism contract: with a deterministic task function, the result
    array, each task's run-context seed, and each task's ledger record
@@ -23,90 +23,10 @@ module Span = Mapqn_obs.Span
 let default_jobs () = Domain.recommended_domain_count ()
 
 (* ------------------------------------------------------------------ *)
-(* Chunk queue                                                         *)
-(* ------------------------------------------------------------------ *)
-
-module Chunk_queue = struct
-  (* FIFO of [first, last] index ranges. [pop] blocks until a chunk is
-     available or the queue is closed — the producer side is trivial
-     for a fixed task count (push everything, close), but the blocking
-     contract is what lets a future streaming producer feed workers
-     incrementally. *)
-  type t = {
-    lock : Mutex.t;
-    nonempty : Condition.t;
-    mutable chunks : (int * int) list;  (* reversed: newest first *)
-    mutable tail : (int * int) list;  (* pop side, oldest first *)
-    mutable closed : bool;
-  }
-
-  let create () =
-    {
-      lock = Mutex.create ();
-      nonempty = Condition.create ();
-      chunks = [];
-      tail = [];
-      closed = false;
-    }
-
-  let push t range =
-    Mutex.lock t.lock;
-    if t.closed then begin
-      Mutex.unlock t.lock;
-      invalid_arg "Fleet.Chunk_queue.push: closed"
-    end;
-    t.chunks <- range :: t.chunks;
-    Condition.signal t.nonempty;
-    Mutex.unlock t.lock
-
-  let close t =
-    Mutex.lock t.lock;
-    t.closed <- true;
-    Condition.broadcast t.nonempty;
-    Mutex.unlock t.lock
-
-  let pop t =
-    Mutex.lock t.lock;
-    let rec next () =
-      match t.tail with
-      | r :: rest ->
-        t.tail <- rest;
-        Some r
-      | [] -> (
-        match t.chunks with
-        | _ :: _ ->
-          t.tail <- List.rev t.chunks;
-          t.chunks <- [];
-          next ()
-        | [] ->
-          if t.closed then None
-          else begin
-            Condition.wait t.nonempty t.lock;
-            next ()
-          end)
-    in
-    let r = next () in
-    Mutex.unlock t.lock;
-    r
-
-  let of_range ~chunk ~total =
-    let t = create () in
-    let chunk = max 1 chunk in
-    let i = ref 0 in
-    while !i < total do
-      let last = min (total - 1) (!i + chunk - 1) in
-      push t (!i, last);
-      i := last + 1
-    done;
-    close t;
-    t
-end
-
-(* ------------------------------------------------------------------ *)
 (* Parallel map                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let map ?jobs ?(chunk = 1) f arr =
+let map ?jobs f arr =
   let total = Array.length arr in
   let jobs =
     max 1 (min (match jobs with Some j -> j | None -> default_jobs ()) total)
@@ -118,16 +38,16 @@ let map ?jobs ?(chunk = 1) f arr =
       run_one i
     done
   else begin
-    let q = Chunk_queue.of_range ~chunk ~total in
+    (* Each worker claims the next unclaimed index, so indices start in
+       array order and every one runs exactly once. *)
+    let next = Atomic.make 0 in
     let worker () =
       let rec loop () =
-        match Chunk_queue.pop q with
-        | None -> ()
-        | Some (first, last) ->
-          for i = first to last do
-            run_one i
-          done;
+        let i = Atomic.fetch_and_add next 1 in
+        if i < total then begin
+          run_one i;
           loop ()
+        end
       in
       loop ()
     in
@@ -147,8 +67,7 @@ type 'a outcome = Done of 'a | Skipped | Failed of exn
 
 let task_seed ~seed index = Rng.derive ~seed index
 
-let run_tasks ?jobs ?(chunk = 1) ?progress ?(skip = fun _ -> false) ~seed ~ids
-    ~total ~f () =
+let run_tasks ?jobs ?progress ?(skip = fun _ -> false) ~seed ~ids ~total ~f () =
   let report g = Option.iter g progress in
   let task index () =
     let id = ids index in
@@ -175,5 +94,5 @@ let run_tasks ?jobs ?(chunk = 1) ?progress ?(skip = fun _ -> false) ~seed ~ids
         Failed e
     end
   in
-  map ?jobs ~chunk (fun _ t -> t ()) (Array.init total task)
+  map ?jobs (fun _ t -> t ()) (Array.init total task)
   |> Array.map (function Ok o -> o | Error e -> Failed e)

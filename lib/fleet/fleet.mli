@@ -1,7 +1,7 @@
 (** Multicore fleet runner for embarrassingly parallel model sweeps.
 
-    A work-stealing pool over OCaml 5 domains — hand-rolled
-    [Domain] + [Mutex]/[Condition] chunk queue, no external
+    A self-scheduling pool over OCaml 5 domains — hand-rolled
+    [Domain]s sharing one [Atomic] index counter, no external
     dependency — that shards independent model evaluations: Table-1
     style experiments where each of thousands of models runs its own
     {!Mapqn_core.Bounds.Sweep} and the models share nothing but the
@@ -16,46 +16,16 @@
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
-(** {1 Chunk queue} *)
-
-module Chunk_queue : sig
-  type t
-  (** A closable FIFO of [(first, last)] index ranges guarded by a
-      mutex and condition variable. *)
-
-  val create : unit -> t
-
-  val push : t -> int * int -> unit
-  (** Enqueue a range. Raises [Invalid_argument] after {!close}. *)
-
-  val close : t -> unit
-  (** No more ranges; blocked and future {!pop}s drain then return
-      [None]. *)
-
-  val pop : t -> (int * int) option
-  (** Dequeue the oldest range, blocking while the queue is empty and
-      not closed. [None] once closed and drained. *)
-
-  val of_range : chunk:int -> total:int -> t
-  (** A closed queue covering [0, total) in ranges of at most [chunk]
-      (at least 1) indices. *)
-end
-
 (** {1 Parallel map} *)
 
-val map :
-  ?jobs:int ->
-  ?chunk:int ->
-  (int -> 'a -> 'b) ->
-  'a array ->
-  ('b, exn) result array
+val map : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> ('b, exn) result array
 (** [map f arr] applies [f i arr.(i)] to every element, on up to [jobs]
     domains (default {!default_jobs}, clamped to the array length; the
-    calling domain is one of the workers). Workers self-schedule
-    [chunk]-sized index ranges (default 1 — right for tasks that take
-    milliseconds or more), so slow tasks do not serialize the rest.
-    Per-element exceptions become [Error]; result order is array
-    order. *)
+    calling domain is one of the workers). Each worker takes the next
+    unstarted index, one at a time (right for tasks that take
+    milliseconds or more), so slow tasks do not serialize the rest and
+    indices start in array order. Per-element exceptions become
+    [Error]; result order is array order. *)
 
 (** {1 Task runner} *)
 
@@ -69,7 +39,6 @@ val task_seed : seed:int -> int -> int
 
 val run_tasks :
   ?jobs:int ->
-  ?chunk:int ->
   ?progress:Mapqn_obs.Progress.t ->
   ?skip:(string -> bool) ->
   seed:int ->

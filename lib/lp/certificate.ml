@@ -109,8 +109,7 @@ let compute ~upper model direction ~objective (s : Simplex.solution) =
     gap = gap_of direction ~objective:s.objective ~safe;
   }
 
-let check ?(tol_primal = default_tol_primal) ~upper model direction ~objective
-    (s : Simplex.solution) =
+let check ~upper model direction ~objective (s : Simplex.solution) =
   let exact = compute ~upper model direction ~objective s in
   (* The exact point first: on well-conditioned bases it certifies to
      near machine precision. When the basis is ill-conditioned the exact
@@ -120,10 +119,10 @@ let check ?(tol_primal = default_tol_primal) ~upper model direction ~objective
      independent of conditioning (see {!Simplex.solution}). The safe
      bound does not depend on the point. *)
   let cert =
-    if exact.primal_residual <= tol_primal then exact
+    if exact.primal_residual <= default_tol_primal then exact
     else { exact with primal_residual = primal_residual model s.witness }
   in
-  let accepted = cert.primal_residual <= tol_primal && cert.gap <= 1. in
+  let accepted = cert.primal_residual <= default_tol_primal && cert.gap <= 1. in
   Mapqn_obs.Health.observe_certificate ~primal:cert.primal_residual
     ~gap:cert.gap ~accepted;
   if accepted then Ok cert else Error cert

@@ -107,15 +107,14 @@ val compute :
     matching {!Lp_model.add_row} semantics. *)
 
 val check :
-  ?tol_primal:float ->
   upper:float array ->
   Lp_model.t ->
   Simplex.direction ->
   objective:(Lp_model.var * float) list ->
   Simplex.solution ->
   (t, t) result
-(** Accept a solve when its primal residual is at most [tol_primal]
-    (default {!default_tol_primal}) and its gap at most [1.]. The
+(** Accept a solve when its primal residual is at most
+    {!default_tol_primal} and its gap at most [1.]. The
     residual is judged at the exact point first and, when that fails, at
     the solution's feasibility witness ({!Simplex.solution.witness}): on
     an ill-conditioned basis the exact point can sit off non-binding

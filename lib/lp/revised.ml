@@ -68,14 +68,14 @@ let m_refactor_stability =
 
 let m_refactor_growth =
   Metrics.counter
-    ~help:"Refactorizations triggered by eta-file growth past growth_limit."
+    ~help:"Refactorizations triggered by eta-file growth past the growth limit."
     "revised_refactor_growth_total"
 
 let m_refactor_drift =
   Metrics.counter
     ~help:
       "Refactorizations triggered by incremental basic values drifting from \
-       a fresh B⁻¹·rhs beyond drift_tol."
+       a fresh B⁻¹·rhs beyond the drift tolerance."
     "revised_refactor_drift_total"
 
 let m_refactor_backstop =
@@ -100,6 +100,11 @@ let eps_cost = 1e-8
    trajectory (pivot counts, certificates, rescue causes), so it is a
    separate, separately measured change. *)
 let default_growth_limit = 4.0
+
+(* Refactor when the incrementally updated basic values drift this far
+   from a fresh B⁻¹·rhs through the same eta file, checked every
+   [default_check_interval] pivots; [default_pivot_backstop] caps the
+   pivots between refactorizations. *)
 let default_drift_tol = 1e-6
 let default_check_interval = 128
 let default_pivot_backstop = 5_000
@@ -131,20 +136,8 @@ type t = {
   pert_scale : float;
       (* global multiplier on the anti-degeneracy perturbation this state
          was built with — the rescue ladder re-prepares at tighter scales *)
-  phase1_basis : int array;
   mutable solves : int;
   work : float array;  (* FTRAN scratch, length m *)
-  (* Reinversion policy (Forrest–Tomlin-style adaptive triggers) and
-     per-instance counters. *)
-  mutable growth_limit : float;
-      (* refactor when eta_nnz exceeds growth_limit × (base_eta_nnz + m):
-         past that point the per-pivot FTRAN/BTRAN work saved by a fresh,
-         near-minimal LU outweighs the cost of building it *)
-  mutable drift_tol : float;
-      (* refactor when the incrementally updated basic values drift this
-         far from a fresh B⁻¹·rhs through the same eta file *)
-  mutable check_interval : int;  (* pivots between drift checks *)
-  mutable pivot_backstop : int;  (* hard cap on pivots between refactors *)
   mutable refactor_forced : bool;
       (* stability trigger: set when a pivot was accepted on an entry
          small relative to its column, whose eta multipliers would poison
@@ -181,10 +174,12 @@ let triggered t cause =
     t.n_refactor_backstop <- t.n_refactor_backstop + 1);
   true
 
-(* The growth trigger: the eta file outgrew the last factorization. *)
+(* The growth trigger: the eta file outgrew the last factorization.
+   Past that point the per-pivot FTRAN/BTRAN work saved by a fresh,
+   near-minimal LU outweighs the cost of building it. *)
 let eta_outgrown t =
   float_of_int (Eta_file.nnz t.etas)
-  > t.growth_limit *. float_of_int (t.base_eta_nnz + t.m)
+  > default_growth_limit *. float_of_int (t.base_eta_nnz + t.m)
 
 (* w <- B⁻¹ A_j (dense scratch; artificials are identity columns) *)
 let ftran_col t j w =
@@ -479,16 +474,15 @@ let run_phase t ~cost ~max_iter ~stall_limit =
              that per-pivot FTRAN/BTRAN work dominates the cost of a fresh
              near-minimal LU, (c) the incrementally updated basic values
              drifted from a fresh B⁻¹·rhs (checked every
-             [check_interval] pivots), or (d) a large pivot-count
+             [default_check_interval] pivots), or (d) a large pivot-count
              backstop. *)
           let need_refactor =
             if t.refactor_forced then triggered t Stability
-            else if t.pivots_since_refactor >= t.pivot_backstop then
+            else if t.pivots_since_refactor >= default_pivot_backstop then
               triggered t Backstop
             else if eta_outgrown t then triggered t Growth
             else if
-              t.check_interval > 0
-              && t.pivots_since_refactor mod t.check_interval = 0
+              t.pivots_since_refactor mod default_check_interval = 0
               &&
               begin
                 Array.blit t.rhs_pert 0 xchk 0 t.m;
@@ -499,7 +493,7 @@ let run_phase t ~cost ~max_iter ~stall_limit =
                   if d > !drift then drift := d
                 done;
                 Health.observe_drift !drift;
-                !drift > t.drift_tol
+                !drift > default_drift_tol
               end
             then triggered t Drift
             else false
@@ -643,13 +637,8 @@ let build_state ?(pert_scale = 1.) std salt =
       xb = Array.map Float.abs rhs_pert;
       rhs_pert;
       pert_scale;
-      phase1_basis = Array.copy basis;
       solves = 0;
       work = Array.make m 0.;
-      growth_limit = default_growth_limit;
-      drift_tol = default_drift_tol;
-      check_interval = default_check_interval;
-      pivot_backstop = default_pivot_backstop;
       refactor_forced = false;
       n_refactors = 0;
       n_pivots = 0;
@@ -680,9 +669,8 @@ let artificial_mass t =
   !mass
 
 (* Phase-1 epilogue shared by the cold and the population-warm-started
-   paths: bar the artificials from pricing, drive zero-level basic
-   artificials out of the basis, and record the resulting basis as the
-   warm-start anchor of {!reset}. *)
+   paths: bar the artificials from pricing and drive zero-level basic
+   artificials out of the basis. *)
 let finalize_phase1 t =
   Span.with_ "driveout" @@ fun () ->
   let m = t.m in
@@ -748,43 +736,10 @@ let finalize_phase1 t =
         end
       end
     end
-  done;
-  Array.blit t.basis 0 t.phase1_basis 0 m
+  done
 
-(* After phase 1 prices out optimal: pricing off a long eta file can
-   declare optimality with artificial mass still basic (stale duals). A
-   fresh factorization recomputes the duals exactly; resuming phase 1
-   from it is far cheaper than a whole new salt and usually finishes the
-   job. Mass left after that means the trajectory degraded numerically
-   (the exact aggregated solution is always feasible), and a fresh
-   perturbation reshuffles the degenerate ties. *)
-let clear_artificial_mass t ~cost ~max_iter ~stall_limit =
-  let mass = ref (artificial_mass t) in
-  let resumes = ref 0 in
-  while !mass > 1e-6 && !resumes < 3 do
-    incr resumes;
-    Log.debug (fun f ->
-        f
-          "phase-1 artificial mass %g at a stale optimum; refactorizing and \
-           resuming (round %d)"
-          !mass !resumes);
-    refactor t;
-    match run_phase t ~cost ~max_iter ~stall_limit with
-    | R_optimal, 0 ->
-      (* No pivot even with exact duals: deterministic, so further rounds
-         would replay the same state. *)
-      resumes := 3
-    | R_optimal, _ -> mass := artificial_mass t
-    | (R_limit | R_unbounded), _ -> resumes := 3
-  done;
-  if !mass > 1e-6 then
-    Error (Simplex.Infeasible_phase1, Printf.sprintf "artificial mass %g" !mass)
-  else Ok ()
-
-(* The pivot cap of one phase: [max_iter], by default
-   [50_000 + 50 * (rows + standard-form columns)]. *)
-let iteration_cap max_iter ~m ~ncols =
-  match max_iter with Some k -> k | None -> 50_000 + (50 * (m + ncols))
+(* The pivot cap of one phase. *)
+let iteration_cap ~m ~ncols = 50_000 + (50 * (m + ncols))
 
 type stats = {
   refactorizations : int;
@@ -824,10 +779,10 @@ let inherit_work t ~dropped =
   t.n_refactor_drift <- t.n_refactor_drift + dropped.n_refactor_drift;
   t.n_refactor_backstop <- t.n_refactor_backstop + dropped.n_refactor_backstop
 
-let prepare_unspanned ?max_iter ?(pert_scale = 1.) ?(salt = 0) ?dropped model =
+let prepare_unspanned ?(pert_scale = 1.) ?(salt = 0) ?dropped model =
   let std = Std_form.build model in
   let m = Std_form.num_rows std in
-  let max_iter = iteration_cap max_iter ~m ~ncols:std.Std_form.ncols in
+  let max_iter = iteration_cap ~m ~ncols:std.Std_form.ncols in
   let salt0 = salt in
   (* One phase 1 on perturbation draw [salt]. Every failure is numerics
      on these always-feasible LPs, so fresh draws follow up to draw
@@ -846,7 +801,15 @@ let prepare_unspanned ?max_iter ?(pert_scale = 1.) ?(salt = 0) ?dropped model =
            impossible in exact arithmetic, so reaching it means the basis
            degraded numerically. *)
         Error (Simplex.Infeasible_phase1, "numerically degraded basis")
-      | R_optimal, _ -> clear_artificial_mass t ~cost ~max_iter ~stall_limit
+      | R_optimal, _ ->
+        (* Artificial mass still basic at the phase-1 optimum means the
+           trajectory degraded numerically (the exact aggregated solution
+           is always feasible): the draw fails, and a fresh perturbation
+           reshuffles the degenerate ties. *)
+        let mass = artificial_mass t in
+        if mass > 1e-6 then
+          Error (Simplex.Infeasible_phase1, Printf.sprintf "artificial mass %g" mass)
+        else Ok ()
     in
     match outcome with
     | Ok () ->
@@ -861,18 +824,11 @@ let prepare_unspanned ?max_iter ?(pert_scale = 1.) ?(salt = 0) ?dropped model =
   in
   attempt 0 dropped
 
-let prepare ?max_iter ?pert_scale ?salt model =
+let prepare ?pert_scale ?salt model =
   Span.with_ "revised.phase1" (fun () ->
-      prepare_unspanned ?max_iter ?pert_scale ?salt model)
+      prepare_unspanned ?pert_scale ?salt model)
 
 let pert_scale t = t.pert_scale
-
-let reset t =
-  Array.blit t.phase1_basis 0 t.basis 0 t.m;
-  Array.fill t.in_basis 0 t.n_total false;
-  Array.iter (fun c -> t.in_basis.(c) <- true) t.basis;
-  t.solves <- 0;
-  refactor t
 
 (* ------------------------------------------------------------------ *)
 (* Cross-model warm starts (population sweeps)                         *)
@@ -1046,9 +1002,9 @@ let restore_feasibility t ~max_pivots =
   t.n_pivots <- t.n_pivots + !pivots;
   !ok
 
-let prepare_seeded_unspanned ?max_iter ~seeds model =
+let prepare_seeded_unspanned ~seeds model =
   let cold ?dropped () =
-    Result.map (fun t -> (t, false)) (prepare_unspanned ?max_iter ?dropped model)
+    Result.map (fun t -> (t, false)) (prepare_unspanned ?dropped model)
   in
   (* A seed that did not take: the cold state inherits its work. *)
   let fall_back t =
@@ -1060,7 +1016,7 @@ let prepare_seeded_unspanned ?max_iter ~seeds model =
     Metrics.inc m_seeded;
     let std = Std_form.build model in
     let m = Std_form.num_rows std in
-    let max_iter_v = iteration_cap max_iter ~m ~ncols:std.Std_form.ncols in
+    let max_iter = iteration_cap ~m ~ncols:std.Std_form.ncols in
     let t = build_state std 0 in
     (* Resolve the seeds to standard-form columns: slacks to the slack of
        the named row, variables to their main column. *)
@@ -1138,7 +1094,7 @@ let prepare_seeded_unspanned ?max_iter ~seeds model =
          pricing pass. *)
       let stall_limit = max 5_000 (20 * m) in
       match
-        run_phase t ~cost:(phase1_cost t) ~max_iter:max_iter_v ~stall_limit
+        run_phase t ~cost:(phase1_cost t) ~max_iter ~stall_limit
       with
       | R_optimal, _ ->
         if artificial_mass t > 1e-6 then fall_back t
@@ -1150,9 +1106,8 @@ let prepare_seeded_unspanned ?max_iter ~seeds model =
     end
   end
 
-let prepare_seeded ?max_iter ~seeds model =
-  Span.with_ "revised.phase1" (fun () ->
-      prepare_seeded_unspanned ?max_iter ~seeds model)
+let prepare_seeded ~seeds model =
+  Span.with_ "revised.phase1" (fun () -> prepare_seeded_unspanned ~seeds model)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2                                                             *)
@@ -1244,11 +1199,11 @@ let refine_duals ?(rounds = 2) t ~cost y =
    the ledger shows which solves refinement actually saved. *)
 let refine_rescue_threshold = 1e-6
 
-let optimize_unspanned ?max_iter (t : t) direction objective =
+let optimize_unspanned (t : t) direction objective =
   Metrics.inc m_solves;
   let warm = t.solves > 0 in
   if warm then Metrics.inc m_warm;
-  let max_iter = iteration_cap max_iter ~m:t.m ~ncols:t.n_struct in
+  let max_iter = iteration_cap ~m:t.m ~ncols:t.n_struct in
   let sign = match direction with Simplex.Minimize -> 1. | Simplex.Maximize -> -1. in
   (* Phase-2 costs: the objective's on the structurals, 0 on every
      artificial. *)
@@ -1260,7 +1215,7 @@ let optimize_unspanned ?max_iter (t : t) direction objective =
   if warm then Metrics.observe m_warm_pivots (float_of_int iterations);
   Metrics.set m_eta_nnz (float_of_int (Eta_file.nnz t.etas));
   match status with
-  | R_limit -> Simplex.Iteration_limit
+  | R_limit -> Simplex.Iteration_limit max_iter
   | R_unbounded -> Simplex.Unbounded
   | R_optimal ->
     (* Feasibility witness: the final basis applied to the PERTURBED
@@ -1330,24 +1285,13 @@ let optimize_unspanned ?max_iter (t : t) direction objective =
     Simplex.Optimal
       { objective = objective_value; values; witness; duals; iterations }
 
-let optimize ?max_iter t direction objective =
-  Span.with_ "revised.phase2" (fun () ->
-      optimize_unspanned ?max_iter t direction objective)
+let optimize t direction objective =
+  Span.with_ "revised.phase2" (fun () -> optimize_unspanned t direction objective)
 
-let solve ?max_iter model direction objective =
-  match prepare ?max_iter model with
+let solve model direction objective =
+  match prepare model with
   | Error (Simplex.Infeasible_phase1, _) -> Simplex.Infeasible
-  | Error (Simplex.Iteration_limit_phase1 _, _) -> Simplex.Iteration_limit
-  | Ok t -> optimize ?max_iter t direction objective
-
-(* ------------------------------------------------------------------ *)
-(* Introspection and reinversion tuning                                *)
-(* ------------------------------------------------------------------ *)
+  | Error (Simplex.Iteration_limit_phase1 k, _) -> Simplex.Iteration_limit k
+  | Ok t -> optimize t direction objective
 
 let force_refactor t = refactor t
-
-let set_reinversion ?growth_limit ?drift_tol ?check_interval ?pivot_backstop t =
-  Option.iter (fun v -> t.growth_limit <- v) growth_limit;
-  Option.iter (fun v -> t.drift_tol <- v) drift_tol;
-  Option.iter (fun v -> t.check_interval <- v) check_interval;
-  Option.iter (fun v -> t.pivot_backstop <- v) pivot_backstop

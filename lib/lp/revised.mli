@@ -42,7 +42,7 @@ type stats = {
           life (the phase-1 drive-outs are counted apart, in
           [revised_artificial_driveouts_total]) *)
   eta_nnz : int;  (** current eta-file nonzeros *)
-  solves : int;  (** phase-2 optimizations since the last {!reset} *)
+  solves : int;  (** phase-2 optimizations over this state's life *)
   refactor_stability : int;
       (** reinversions forced by the small-pivot stability trigger *)
   refactor_growth : int;  (** reinversions from eta-file growth *)
@@ -53,40 +53,33 @@ type stats = {
 val stats : t -> stats
 
 val prepare :
-  ?max_iter:int ->
   ?pert_scale:float ->
   ?salt:int ->
   Lp_model.t ->
   (t, Simplex.prepare_error * stats) result
-(** Run phase 1. Default [max_iter] is [50_000 + 50 * (rows + vars)].
-    A failure comes with the work of every attempt it made, so callers
-    can count it although no state is returned.
+(** Run phase 1, capped at [50_000 + 50 * (rows + standard-form
+    columns)] pivots. A failure comes with the work of every attempt it
+    made, so callers can count it although no state is returned.
 
     [pert_scale] (default [1.]) multiplies the anti-degeneracy
     perturbation globally, on top of the built-in per-row scaling (row
     coefficient norm × a sqrt(rows) size factor) — the certificate
     rescue ladder re-prepares at tighter scales. [salt] (default [0])
-    bounds the perturbation-retry ladder: a failed phase 1 retries with
-    fresh perturbation draws up to draw [salt + 3]. The draws start at
-    0 whatever the base, so a larger base buys more retries rather than
-    a different first trajectory. *)
+    bounds the perturbation-retry ladder: a failed phase 1 (a stall, an
+    unbounded step on a degraded basis, or artificial mass left at the
+    phase-1 optimum) retries with fresh perturbation draws up to draw
+    [salt + 3]. The draws start at 0 whatever the base, so a larger base
+    buys more retries rather than a different first trajectory. *)
 
 val pert_scale : t -> float
 (** The [pert_scale] this state was prepared with. *)
 
 val optimize :
-  ?max_iter:int ->
-  t ->
-  Simplex.direction ->
-  (Lp_model.var * float) list ->
-  Simplex.outcome
+  t -> Simplex.direction -> (Lp_model.var * float) list -> Simplex.outcome
 (** Run phase 2 for one objective, warm-starting from the basis of the
-    previous call (or the phase-1 basis on the first call). The final
+    previous call (or the phase-1 basis on the first call), capped at
+    [50_000 + 50 * (rows + standard-form columns)] pivots. The final
     basis is kept for the next objective. *)
-
-val reset : t -> unit
-(** Forget warm-start state: restore the phase-1 basis. The next
-    {!optimize} prices from scratch. *)
 
 (** {1 Cross-model warm starts}
 
@@ -111,10 +104,7 @@ val basis_seeds : t -> seed list
     measured worse (it tends not to take and falls back cold). *)
 
 val prepare_seeded :
-  ?max_iter:int ->
-  seeds:seed list ->
-  Lp_model.t ->
-  (t * bool, Simplex.prepare_error * stats) result
+  seeds:seed list -> Lp_model.t -> (t * bool, Simplex.prepare_error * stats) result
 (** Phase 1 warm-started from a seed basis (already translated into the
     new model's terms). The returned flag is [true] when the seed was
     used and [false] when the preparation fell back to a cold phase 1
@@ -123,35 +113,19 @@ val prepare_seeded :
     {!prepare} — callers cannot observe the difference except through
     timing and {!stats}. *)
 
-(** {1 Introspection and reinversion tuning} *)
+(** {1 Introspection} *)
 
 val force_refactor : t -> unit
 (** Rebuild the eta file of the current basis immediately. The
     represented basis (and therefore every subsequent solution) is
     unchanged — exposed so tests can check that incremental eta updates
-    and a fresh factorization agree. *)
-
-val set_reinversion :
-  ?growth_limit:float ->
-  ?drift_tol:float ->
-  ?check_interval:int ->
-  ?pivot_backstop:int ->
-  t ->
-  unit
-(** Tune the adaptive reinversion policy. [growth_limit] (default 4.0)
-    refactorizes when the eta file exceeds that multiple of the last
-    factorization's size; [drift_tol] (default 1e-6) bounds the
-    divergence between incrementally updated basic values and a fresh
-    FTRAN of the right-hand side, checked every [check_interval]
-    (default 128) pivots; [pivot_backstop] (default 5000) is a hard cap
-    on pivots between refactorizations. Lowering [drift_tol] to [0.]
-    forces a refactorization at every check — the stability-trigger
-    test hook. *)
+    and a fresh factorization agree. The adaptive reinversion policy
+    itself is fixed: the eta file is rebuilt when it outgrows 4× the
+    last factorization, when the incrementally updated basic values
+    drift more than 1e-6 from a fresh FTRAN of the right-hand side
+    (checked every 128 pivots), after a pivot on an entry small
+    against its column, and at the latest every 5,000 pivots. *)
 
 val solve :
-  ?max_iter:int ->
-  Lp_model.t ->
-  Simplex.direction ->
-  (Lp_model.var * float) list ->
-  Simplex.outcome
+  Lp_model.t -> Simplex.direction -> (Lp_model.var * float) list -> Simplex.outcome
 (** One-shot [prepare] + [optimize]. *)

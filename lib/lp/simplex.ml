@@ -55,7 +55,7 @@ type solution = {
   duals : float array;
   iterations : int;
 }
-type outcome = Optimal of solution | Infeasible | Unbounded | Iteration_limit
+type outcome = Optimal of solution | Infeasible | Unbounded | Iteration_limit of int
 
 type prepare_error = Infeasible_phase1 | Iteration_limit_phase1 of int
 
@@ -341,12 +341,10 @@ let run_phase ?stop_below ?(stall_limit = max_int) t obj ~max_iter =
 (* Phase 1                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let prepare_unspanned ?max_iter ?(salt = 0) model =
+let prepare_unspanned ?(salt = 0) model =
   let std = Std_form.build model in
   let m = Std_form.num_rows std in
-  let max_iter =
-    match max_iter with Some k -> k | None -> 50_000 + (50 * (m + std.Std_form.ncols))
-  in
+  let max_iter = 50_000 + (50 * (m + std.Std_form.ncols)) in
   (* Artificial columns are allocated only for rows whose initial basic
      variable cannot be a +1 slack. They are kept in the tableau forever:
      together with those slack columns they form the initial identity
@@ -538,8 +536,8 @@ let prepare_unspanned ?max_iter ?(salt = 0) model =
   in
   try_attempts salt0
 
-let prepare ?max_iter ?salt model =
-  Span.with_ "simplex.phase1" (fun () -> prepare_unspanned ?max_iter ?salt model)
+let prepare ?salt model =
+  Span.with_ "simplex.phase1" (fun () -> prepare_unspanned ?salt model)
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2                                                             *)
@@ -603,14 +601,10 @@ let extract_solution std tab =
    with Exit -> ());
   (Std_form.extract std x_std, Std_form.extract std w_std)
 
-let optimize_unspanned ?max_iter prepared direction objective =
+let optimize_unspanned prepared direction objective =
   Metrics.inc m_solves;
   let std = prepared.std in
-  let max_iter =
-    match max_iter with
-    | Some k -> k
-    | None -> 50_000 + (50 * (prepared.tab.m + prepared.tab.n))
-  in
+  let max_iter = 50_000 + (50 * (prepared.tab.m + prepared.tab.n)) in
   let sign = match direction with Minimize -> 1. | Maximize -> -1. in
   let c = Std_form.costs std ~sign objective in
   let cost_of col = if col < std.Std_form.ncols then c.(col) else 0. in
@@ -655,7 +649,7 @@ let optimize_unspanned ?max_iter prepared direction objective =
   in
   let status, iterations, tab = try_attempts 0 in
   match status with
-  | P_iteration_limit -> Iteration_limit
+  | P_iteration_limit -> Iteration_limit max_iter
   | P_unbounded -> Unbounded
   | P_optimal ->
     (* Report the objective evaluated at the extracted point rather than
@@ -679,12 +673,12 @@ let optimize_unspanned ?max_iter prepared direction objective =
     Metrics.set m_objective objective_value;
     Optimal { objective = objective_value; values; witness; duals; iterations }
 
-let optimize ?max_iter prepared direction objective =
+let optimize prepared direction objective =
   Span.with_ "simplex.phase2" (fun () ->
-      optimize_unspanned ?max_iter prepared direction objective)
+      optimize_unspanned prepared direction objective)
 
-let solve ?max_iter model direction objective =
-  match prepare ?max_iter model with
+let solve model direction objective =
+  match prepare model with
   | Error Infeasible_phase1 -> Infeasible
-  | Error (Iteration_limit_phase1 _) -> Iteration_limit
-  | Ok prepared -> optimize ?max_iter prepared direction objective
+  | Error (Iteration_limit_phase1 k) -> Iteration_limit k
+  | Ok prepared -> optimize prepared direction objective

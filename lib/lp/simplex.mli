@@ -45,7 +45,9 @@ type outcome =
   | Optimal of solution
   | Infeasible
   | Unbounded
-  | Iteration_limit
+  | Iteration_limit of int
+      (** phase 2 (or, for {!solve}, phase 1) exhausted its pivot budget
+          (the payload) *)
 
 type prepare_error =
   | Infeasible_phase1  (** the constraint system admits no point *)
@@ -57,18 +59,16 @@ val prepare_error_to_string : prepare_error -> string
 type prepared
 (** A feasible basis for a model (output of phase 1). *)
 
-val prepare :
-  ?max_iter:int -> ?salt:int -> Lp_model.t -> (prepared, prepare_error) result
-(** Run phase 1. Default [max_iter] is [50_000 + 50 * (rows + vars)].
-    A stall or leftover artificial mass retries with fresh
-    anti-degeneracy perturbations, salts [salt] (default [0]) to
+val prepare : ?salt:int -> Lp_model.t -> (prepared, prepare_error) result
+(** Run phase 1, capped at [50_000 + 50 * (rows + standard-form
+    columns)] pivots. A stall or leftover artificial mass retries with
+    fresh anti-degeneracy perturbations, salts [salt] (default [0]) to
     [salt + 3]. *)
 
-val optimize :
-  ?max_iter:int -> prepared -> direction -> (Lp_model.var * float) list -> outcome
-(** Run phase 2 for one objective from the prepared basis. The prepared
-    value is not consumed: repeated calls are independent. *)
+val optimize : prepared -> direction -> (Lp_model.var * float) list -> outcome
+(** Run phase 2 for one objective from the prepared basis, capped at
+    [50_000 + 50 * (rows + tableau columns)] pivots. The prepared value
+    is not consumed: repeated calls are independent. *)
 
-val solve :
-  ?max_iter:int -> Lp_model.t -> direction -> (Lp_model.var * float) list -> outcome
+val solve : Lp_model.t -> direction -> (Lp_model.var * float) list -> outcome
 (** One-shot [prepare] + [optimize]. *)

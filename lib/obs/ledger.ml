@@ -92,7 +92,7 @@ let enable_error_to_string = function
     Printf.sprintf
       "ledger already enabled on %s (disable it before re-enabling)" path
 
-let enable ?(context = []) ~path () =
+let enable ~path () =
   locked (fun () ->
       match !current with
       | Some s when String.equal s.lpath path ->
@@ -109,11 +109,11 @@ let enable ?(context = []) ~path () =
         | None -> ());
         (* Should the open raise, the sink stays disabled. *)
         current := None;
-        current := Some { oc = Export.open_append path; lpath = path; context };
+        current := Some { oc = Export.open_append path; lpath = path; context = [] };
         Ok ())
 
-let enable_exn ?context ~path () =
-  match enable ?context ~path () with
+let enable_exn ~path () =
+  match enable ~path () with
   | Ok () -> ()
   | Error e -> invalid_arg ("Ledger.enable: " ^ enable_error_to_string e)
 
@@ -413,7 +413,7 @@ let where_of i r =
   if n >= 0 then Printf.sprintf "%s N=%d (record %d)" (event r) n i
   else Printf.sprintf "%s (record %d)" (event r) i
 
-let doctor ?(tol_primal = 1e-5) records =
+let doctor records =
   let findings = ref [] in
   let add severity code where detail =
     findings := { severity; code; where; detail } :: !findings
@@ -432,7 +432,9 @@ let doctor ?(tol_primal = 1e-5) records =
     | None -> None
     | Some cert ->
       let primal = num "primal_residual" cert in
-      let tol = num ~default:tol_primal "tol_primal" cert in
+      (* A record without its own tolerance is judged against the
+         certificate's 1e-5, which this layer cannot name. *)
+      let tol = num ~default:1e-5 "tol_primal" cert in
       let gap = num "gap" cert in
       let by_primal = primal /. Float.max tol 1e-300 in
       Some

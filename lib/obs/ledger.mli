@@ -26,21 +26,15 @@ type enable_error = [ `Already_enabled of string ]
 
 val enable_error_to_string : enable_error -> string
 
-val enable :
-  ?context:(string * Json.t) list ->
-  path:string ->
-  unit ->
-  (unit, enable_error) result
-(** Open (append, create) [path] as the process ledger sink. [context]
-    pairs are merged into every subsequent record (e.g. a model
-    fingerprint or experiment name); a ["seed"] entry is surfaced as the
-    record's top-level [seed] field. Replaces a previous sink on a
-    {e different} path; enabling the path that is already the live sink
-    is rejected with [`Already_enabled] (it would silently drop the
+val enable : path:string -> unit -> (unit, enable_error) result
+(** Open (append, create) [path] as the process ledger sink, with an
+    empty context ({!set_context} adds pairs). Replaces a previous sink
+    on a {e different} path; enabling the path that is already the live
+    sink is rejected with [`Already_enabled] (it would silently drop the
     sink's accumulated context and double-open the file) — {!disable}
     first to reopen deliberately. *)
 
-val enable_exn : ?context:(string * Json.t) list -> path:string -> unit -> unit
+val enable_exn : path:string -> unit -> unit
 (** {!enable}, raising [Invalid_argument] on [`Already_enabled]. *)
 
 val disable : unit -> unit
@@ -52,8 +46,10 @@ val path : unit -> string option
 (** The sink path, when enabled. *)
 
 val set_context : string -> Json.t -> unit
-(** Set (or replace) one context pair on the live sink. No-op when
-    disabled. *)
+(** Set (or replace) one context pair on the live sink; the pairs are
+    merged into every subsequent record (e.g. an experiment name), and a
+    ["seed"] pair is surfaced as the record's top-level [seed] field.
+    No-op when disabled. *)
 
 val record : event:string -> (string * Json.t) list -> unit
 (** Append one record and flush. Every record carries [event], a wall
@@ -116,7 +112,7 @@ type finding = {
 
 val severity_to_string : severity -> string
 
-val doctor : ?tol_primal:float -> Json.t list -> finding list
+val doctor : Json.t list -> finding list
 (** Scan solver records for numerical-trust hazards: certificate
     near-misses (primal residual at ≥25% of its tolerance, or gap at
     ≥25% of the margin), rescue outcomes (a record whose certificate
@@ -126,8 +122,8 @@ val doctor : ?tol_primal:float -> Json.t list -> finding list
     drift-triggered reinversions, degeneracy stalls, perturbation-ladder
     retries, and the historical Fig-8 signature — the worst certificate
     residual of the run sitting at the largest population. The primal
-    tolerance defaults to the {!Certificate} default and is overridden
-    per record when the record carries its own; the gap is a fraction
-    of the margin, so its tolerance is [1]. *)
+    residual is judged against the record's own [tol_primal], or [1e-5]
+    (the {!Certificate} tolerance) when the record carries none; the gap
+    is a fraction of the margin, so its tolerance is [1]. *)
 
 val render_findings : finding list -> string

@@ -27,16 +27,9 @@ type t = {
   mutable live_len : int;
 }
 
-let create ?(clock = Span.now) ?(out = stderr) ?tty ?(quiet = false) ?heartbeat
-    ~total label =
-  let out = if quiet then None else Some out in
-  let tty =
-    match (tty, out) with
-    | Some t, _ -> t
-    | None, None -> false
-    | None, Some oc -> (
-      try Unix.isatty (Unix.descr_of_out_channel oc) with _ -> false)
-  in
+let create ?(clock = Span.now) ?(quiet = false) ?heartbeat ~total label =
+  let out = if quiet then None else Some stderr in
+  let tty = (not quiet) && try Unix.isatty Unix.stderr with _ -> false in
   let t0 = clock () in
   (* A sweep killed mid-run (Ctrl-C, OOM, timeout) must keep its last
      completed heartbeat records — --resume-from depends on them. Each

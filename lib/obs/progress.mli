@@ -19,19 +19,17 @@ type t
 
 val create :
   ?clock:(unit -> float) ->
-  ?out:out_channel ->
-  ?tty:bool ->
   ?quiet:bool ->
   ?heartbeat:out_channel ->
   total:int ->
   string ->
   t
 (** [create ~total label]. [clock] (default monotonic [Span.now]) makes
-    ETA math deterministic in tests. [out] (default [stderr]) receives
-    console output unless [quiet]; [tty] overrides terminal detection on
-    [out]. [heartbeat] receives one JSONL record per event; the caller
-    owns the channel (a file opened with {!Export.open_append} resumes
-    cleanly after a torn line). *)
+    ETA math deterministic in tests. Console output goes to [stderr]
+    unless [quiet], as a live line when [stderr] is a terminal.
+    [heartbeat] receives one JSONL record per event; the caller owns the
+    channel (a file opened with {!Export.open_append} resumes cleanly
+    after a torn line). *)
 
 val skip : t -> ?seed:int -> string -> unit
 (** Record model [id] as skipped (e.g. found in a resume file). Counts

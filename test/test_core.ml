@@ -774,7 +774,8 @@ let test_sweep_ledger_records () =
       Ledger.disable ();
       Sys.remove tmp)
   @@ fun () ->
-  Ledger.enable_exn ~context:[ ("seed", Json.Number 11.) ] ~path:tmp ();
+  Ledger.enable_exn ~path:tmp ();
+  Ledger.set_context "seed" (Json.Number 11.);
   let sweep = Bounds.Sweep.create (fun population -> fig5 ~population ()) in
   List.iter
     (fun population ->

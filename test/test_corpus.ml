@@ -34,9 +34,8 @@ open Corpus_fixture
 let open_corpus_ledger () =
   match Sys.getenv_opt "MAPQN_CORPUS_LEDGER" with
   | Some path when not (Ledger.is_enabled ()) ->
-    Ledger.enable_exn
-      ~context:[ ("experiment", Json.String "corpus") ]
-      ~path ()
+    Ledger.enable_exn ~path ();
+    Ledger.set_context "experiment" (Json.String "corpus")
   | _ -> ()
 
 let test_corpus_certifies () =

@@ -1,6 +1,6 @@
 (* Fleet runner: the determinism contract (parallel == sequential,
-   bit for bit), the chunk queue, run-context isolation across domains,
-   and torn-record-free concurrent telemetry. *)
+   bit for bit), run-context isolation across domains, and
+   torn-record-free concurrent telemetry. *)
 
 module Fleet = Mapqn_fleet.Fleet
 module Run_ctx = Mapqn_obs.Run_ctx
@@ -9,62 +9,46 @@ module Json = Mapqn_obs.Json
 module Bounds = Mapqn_core.Bounds
 module Fleet_sweep = Mapqn_experiments.Fleet_sweep
 
-(* ---------------- Chunk queue ---------------- *)
-
-let test_chunk_queue_fifo () =
-  let q = Fleet.Chunk_queue.create () in
-  Fleet.Chunk_queue.push q (0, 1);
-  Fleet.Chunk_queue.push q (2, 3);
-  Fleet.Chunk_queue.close q;
-  Alcotest.(check (option (pair int int))) "first" (Some (0, 1))
-    (Fleet.Chunk_queue.pop q);
-  Alcotest.(check (option (pair int int))) "second" (Some (2, 3))
-    (Fleet.Chunk_queue.pop q);
-  Alcotest.(check (option (pair int int))) "drained" None
-    (Fleet.Chunk_queue.pop q);
-  Alcotest.check_raises "push after close"
-    (Invalid_argument "Fleet.Chunk_queue.push: closed") (fun () ->
-      Fleet.Chunk_queue.push q (4, 5))
-
-let test_chunk_queue_of_range () =
-  let q = Fleet.Chunk_queue.of_range ~chunk:3 ~total:8 in
-  let rec drain acc =
-    match Fleet.Chunk_queue.pop q with
-    | None -> List.rev acc
-    | Some r -> drain (r :: acc)
-  in
-  let ranges = drain [] in
-  Alcotest.(check (list (pair int int)))
-    "covers [0,8) in chunks of 3"
-    [ (0, 2); (3, 5); (6, 7) ]
-    ranges;
-  (* Degenerate sizes. *)
-  let q = Fleet.Chunk_queue.of_range ~chunk:0 ~total:2 in
-  Alcotest.(check (option (pair int int))) "chunk clamped to 1" (Some (0, 0))
-    (Fleet.Chunk_queue.pop q);
-  let q = Fleet.Chunk_queue.of_range ~chunk:4 ~total:0 in
-  Alcotest.(check (option (pair int int))) "empty range" None
-    (Fleet.Chunk_queue.pop q)
-
 (* ---------------- Parallel map ---------------- *)
 
 let test_map_matches_sequential () =
   let arr = Array.init 57 (fun i -> i) in
-  let f i x = (i * 31) + (x * x) in
-  let seq = Fleet.map ~jobs:1 f arr in
-  List.iter
-    (fun jobs ->
-      let par = Fleet.map ~jobs ~chunk:2 f arr in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d equals sequential" jobs)
-        true (par = seq))
-    [ 2; 3; 8 ];
+  let value i x = (i * 31) + (x * x) in
+  (* Tasks of uneven duration let a fast worker overtake a slow one. *)
+  let uneven i x =
+    for _ = 1 to i * 7 mod 11 * 2_000 do
+      Domain.cpu_relax ()
+    done;
+    value i x
+  in
+  let runs = Array.init (Array.length arr) (fun _ -> Atomic.make 0) in
+  let counted f i x =
+    Atomic.incr runs.(i);
+    f i x
+  in
+  let seq = Fleet.map ~jobs:1 value arr in
   Array.iteri
     (fun i r ->
       match r with
-      | Ok v -> Alcotest.(check int) "value" (f i arr.(i)) v
+      | Ok v -> Alcotest.(check int) "value" (value i arr.(i)) v
       | Error _ -> Alcotest.fail "unexpected error")
-    seq
+    seq;
+  List.iter
+    (fun (name, f) ->
+      List.iter
+        (fun jobs ->
+          Array.iter (fun c -> Atomic.set c 0) runs;
+          let par = Fleet.map ~jobs (counted f) arr in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s tasks, jobs=%d: equals sequential, in array order"
+               name jobs)
+            true (par = seq);
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s tasks, jobs=%d: every index runs once" name jobs)
+            (Array.make (Array.length arr) 1)
+            (Array.map Atomic.get runs))
+        [ 2; 3; 4; 5; 8 ])
+    [ ("even", value); ("uneven", uneven) ]
 
 let test_map_captures_exceptions () =
   let arr = [| 0; 1; 2; 3 |] in
@@ -413,12 +397,6 @@ let test_append_after_torn_tail () =
 let () =
   Alcotest.run "fleet"
     [
-      ( "chunk-queue",
-        [
-          Alcotest.test_case "fifo + close" `Quick test_chunk_queue_fifo;
-          Alcotest.test_case "of_range coverage" `Quick
-            test_chunk_queue_of_range;
-        ] );
       ( "map",
         [
           Alcotest.test_case "parallel equals sequential" `Quick
